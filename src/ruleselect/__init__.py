@@ -27,19 +27,6 @@ from .evaluation import (
     eval_ruleset,
     jaccard,
 )
-from .exact import (
-    BilevelResult,
-    ExactConfig,
-    FrontResult,
-    bilevel_optimum,
-    decision_bound,
-    decision_exact_value,
-    is_bilevel_optimal,
-    is_pareto_optimal,
-    pareto_front,
-    pareto_membership,
-    solve_exact,
-)
 from .generators import (
     GenSeed,
     SetCoverInstance,
@@ -84,3 +71,26 @@ from .parser import (
 )
 
 __version__ = "0.1.0"
+
+# The exact solvers need numpy, whose import costs more than a whole greedy
+# or evaluation call; their names load on first use.
+_EXACT_NAMES = frozenset({
+    "BilevelResult",
+    "ExactConfig",
+    "FrontResult",
+    "bilevel_optimum",
+    "decision_bound",
+    "decision_exact_value",
+    "is_bilevel_optimal",
+    "is_pareto_optimal",
+    "pareto_front",
+    "pareto_membership",
+    "solve_exact",
+})
+
+
+def __getattr__(name):
+    if name in _EXACT_NAMES:
+        from . import exact
+        return getattr(exact, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -30,6 +30,9 @@ except ImportError:  # pragma: no cover - numba is a declared dependency
 
 _ENV_VAR = "RULESELECT_BACKEND"
 
+#: Subset masks are int64 values with rule i at bit i.
+MAX_RULES = 62
+
 
 def default_backend() -> str:
     choice = os.environ.get(_ENV_VAR, "").strip().lower()
@@ -247,6 +250,15 @@ def _np_size_profile(rule_masks, sizes, j_mask, not_j, fp_only):
     inner_sizes = np.zeros(1, dtype=np.int64)
     for i in range(split):
         inner_sizes = np.concatenate([inner_sizes, inner_sizes + sizes[i]])
+    # Inner subsets grouped by size, ascending mask within a group; the least
+    # (error << split | inner mask) of a group is its least error at its
+    # lowest mask, found for every group by one reduceat per block.
+    order = np.argsort(inner_sizes, kind="stable")
+    inner = inner[order]
+    grouped_sizes = inner_sizes[order]
+    starts = np.flatnonzero(np.r_[True, grouped_sizes[1:] != grouped_sizes[:-1]])
+    group_sizes = grouped_sizes[starts]
+    low = np.int64((1 << split) - 1)
     j_pop = int(_popcount_rows(j_mask[None, :])[0])
     big = np.int64(64 * w + j_pop + 1)
     max_size = int(sizes.sum())
@@ -264,17 +276,13 @@ def _np_size_profile(rule_masks, sizes, j_mask, not_j, fp_only):
         fp = _popcount_rows(fulls & not_j)
         fn = j_pop - _popcount_rows(fulls & j_mask)
         errs = np.where(fn == 0, fp, big) if fp_only else fp + fn
-        tot_sizes = inner_sizes + base_size
-        for s in np.unique(tot_sizes):
-            idx = np.nonzero(tot_sizes == s)[0]
-            sub = errs[idx]
-            m = int(np.argmin(sub))
-            e = int(sub[m])
-            if e >= big:
-                continue
-            if best_err[s] < 0 or e < best_err[s]:
-                best_err[s] = e
-                witness[s] = (outer << split) | int(idx[m])
+        least = np.minimum.reduceat((errs << split) | order, starts)
+        err = least >> split
+        s = group_sizes + base_size
+        # strict improvement only: an earlier block has the lower mask
+        better = (err < big) & ((best_err[s] < 0) | (err < best_err[s]))
+        best_err[s[better]] = err[better]
+        witness[s[better]] = (outer << split) | (least[better] & low)
     return best_err, witness
 
 
@@ -285,8 +293,8 @@ def solve_exact_masks(rule_masks: np.ndarray, j_mask: np.ndarray,
 
     subset_mask is -1 when no subset qualifies (FP mode, uncoverable truth).
     """
-    if rule_masks.shape[0] > 62:
-        raise ValueError("subset masks limited to 62 rules")
+    if rule_masks.shape[0] > MAX_RULES:
+        raise ValueError(f"subset masks limited to {MAX_RULES} rules")
     backend = backend or default_backend()
     not_j = np.bitwise_not(j_mask)
     if backend == "numba":
@@ -301,8 +309,8 @@ def solve_exact_masks(rule_masks: np.ndarray, j_mask: np.ndarray,
 def size_profile_masks(rule_masks: np.ndarray, sizes: np.ndarray, j_mask: np.ndarray,
                        fp_only: bool = False, backend: str | None = None) -> tuple:
     """Per-size best error and first witness over all subsets (arrays, -1 = none)."""
-    if rule_masks.shape[0] > 62:
-        raise ValueError("subset masks limited to 62 rules")
+    if rule_masks.shape[0] > MAX_RULES:
+        raise ValueError(f"subset masks limited to {MAX_RULES} rules")
     backend = backend or default_backend()
     not_j = np.bitwise_not(j_mask)
     sizes = np.asarray(sizes, dtype=np.int64)

@@ -13,7 +13,7 @@ import time
 from pathlib import Path
 from typing import Optional
 
-from . import covering, exact, generators
+from . import covering, generators
 from .evaluation import EvalCache, check_fp_feasible, compute_errors
 from .model import (
     CapacityError,
@@ -133,11 +133,14 @@ def _load(args):
     return rules, DataExample(premise=premise, truth=truth)
 
 
-def _exact_config(args, objective="fpfn") -> exact.ExactConfig:
+# Only the enumeration commands import `exact`, which loads numpy.
+def _exact_config(args, objective="fpfn"):
+    from .exact import ExactConfig
+
     kwargs = {"objective": objective}
     if getattr(args, "max_rules", None):
         kwargs["max_rules"] = args.max_rules
-    return exact.ExactConfig(**kwargs)
+    return ExactConfig(**kwargs)
 
 
 def _selection_report(rules: RuleSet, example: DataExample, selection,
@@ -165,6 +168,8 @@ def _cmd_select(args) -> dict:
     rules, example = _load(args)
     cache = EvalCache(rules, example.premise)
     if args.method == "exact":
+        from . import exact
+
         err, selection = exact.solve_exact(
             rules, example, _exact_config(args, args.objective), cache)
         body, _ = _selection_report(rules, example, selection, cache)
@@ -184,6 +189,8 @@ def _cmd_select(args) -> dict:
 
 
 def _cmd_pareto(args) -> dict:
+    from . import exact
+
     rules, example = _load(args)
     front = exact.pareto_front(rules, example, _exact_config(args, args.objective))
     points = [[p.error, p.size] for p in sorted(front.points, key=lambda p: p.size)]
@@ -191,6 +198,8 @@ def _cmd_pareto(args) -> dict:
 
 
 def _cmd_bilevel(args) -> dict:
+    from . import exact
+
     rules, example = _load(args)
     cache = EvalCache(rules, example.premise)
     result = exact.bilevel_optimum(rules, example, _exact_config(args, args.objective), cache)
@@ -200,6 +209,8 @@ def _cmd_bilevel(args) -> dict:
 
 
 def _cmd_member(args) -> dict:
+    from . import exact
+
     rules, example = _load(args)
     e, s = _parse_point(args.point)
     member = exact.pareto_membership(rules, example, e, s,

@@ -108,7 +108,7 @@ def _pick_next_atom(remaining, bound, premise: Instance):
     best = None
     for pos, atom in remaining:
         n_bound = len(set(atom.variables()) & bound)
-        key = (-n_bound, len(premise.relation(atom.relation)), pos)
+        key = (-n_bound, len(premise.bucket(atom.relation)), pos)
         if best is None or key < best[0]:
             best = (key, pos, atom)
     return best[1], best[2]
@@ -119,8 +119,8 @@ def eval_rule(rule: Rule, premise: Instance, limits: Optional[EvalLimits] = None
 
     Join order is greedy: at each step the unprocessed relational atom with
     the most already-bound variables is joined next (ties: smallest relation,
-    then premise order), via an index on its bound positions.  Builtins are
-    applied as soon as all their variables are bound.
+    then premise order), via the premise's shared index on its bound
+    positions.  Builtins are applied as soon as all their variables are bound.
     """
     _check_limits([rule], limits)
     unsafe = rule.unsafe_variables()
@@ -136,10 +136,6 @@ def eval_rule(rule: Rule, premise: Instance, limits: Optional[EvalLimits] = None
             raise EvaluationError(
                 f"rule {rule.name}: {atom.relation} has arity {arity}, "
                 f"atom uses {len(atom.terms)}")
-
-    by_relation: dict = {}
-    for f in premise.facts:
-        by_relation.setdefault(f.relation, []).append(f)
 
     bindings = [{}]
     bound: set = set()
@@ -168,10 +164,7 @@ def eval_rule(rule: Rule, premise: Instance, limits: Optional[EvalLimits] = None
                 free.append((i, t.var))
             else:
                 fixed.append(i)
-        index: dict = {}
-        for f in by_relation.get(atom.relation, ()):
-            key = tuple(f.args[i] for i in fixed)
-            index.setdefault(key, []).append(f)
+        index = premise.lookup(atom.relation, tuple(fixed))
 
         new_bindings = []
         for b in bindings:

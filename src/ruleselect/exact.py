@@ -68,6 +68,9 @@ def _prepare(rules: RuleSet, example: DataExample, config: ExactConfig,
     if len(rules) > config.max_rules:
         raise CapacityError(
             f"{len(rules)} rules exceed the enumeration cap of {config.max_rules}")
+    if len(rules) > _kernels.MAX_RULES:
+        raise CapacityError(
+            f"{len(rules)} rules exceed the {_kernels.MAX_RULES}-rule limit of subset masks")
     cache = _cache_for(rules, example.premise, cache)
     if config.objective == "fp":
         feas = check_fp_feasible(rules, example, cache)

@@ -100,13 +100,22 @@ def fact(relation: str, *args) -> Fact:
 
 
 class Instance:
-    """A set of facts together with the schema (relation name -> arity) they obey."""
+    """A set of facts together with the schema (relation name -> arity) they obey.
 
-    __slots__ = ("schema", "facts")
+    Lookups go through one index built lazily on first use and shared by every
+    reader afterwards: per-relation buckets, and hash indexes keyed by
+    (relation, bound argument positions).  Each piece is published with
+    `dict.setdefault`, so concurrent builders agree on one object.  The index
+    is derived from the facts and takes no part in equality or hashing.
+    """
+
+    __slots__ = ("schema", "facts", "_index")
 
     def __init__(self, schema: Mapping[str, int], facts: Iterable[Fact]):
         self.schema = dict(schema)
         self.facts = frozenset(facts)
+        # None -> {relation: facts}; (relation, positions) -> {values there: facts}
+        self._index: dict = {}
         for name, arity in self.schema.items():
             if arity < 1:
                 raise ValidationError(f"relation {name} has arity {arity} < 1")
@@ -139,7 +148,32 @@ class Instance:
         return cls(schema or {}, ())
 
     def relation(self, name: str) -> frozenset:
-        return frozenset(f for f in self.facts if f.relation == name)
+        return frozenset(self.bucket(name))
+
+    def bucket(self, name: str) -> tuple:
+        """The facts of one relation, in a fixed order; empty when it has none."""
+        buckets = self._index.get(None)
+        if buckets is None:
+            grouped: dict = {}
+            for f in self.facts:
+                grouped.setdefault(f.relation, []).append(f)
+            buckets = self._index.setdefault(
+                None, {rel: tuple(fs) for rel, fs in grouped.items()})
+        return buckets.get(name, ())
+
+    def lookup(self, name: str, positions: tuple) -> dict:
+        """Hash index of one relation on the given argument positions:
+        tuple of the values there -> facts carrying them."""
+        if not positions:
+            return {(): self.bucket(name)}
+        index = self._index.get((name, positions))
+        if index is None:
+            grouped: dict = {}
+            for f in self.bucket(name):
+                grouped.setdefault(tuple([f.args[i] for i in positions]), []).append(f)
+            index = self._index.setdefault(
+                (name, positions), {key: tuple(fs) for key, fs in grouped.items()})
+        return index
 
     def __len__(self):
         return len(self.facts)

@@ -13,11 +13,14 @@ comment in both formats.
 from __future__ import annotations
 
 import hashlib
+import re
 from decimal import Decimal
 from typing import Mapping, Optional
 
 from .model import (
     BUILTIN_NAMES,
+    INT64_MAX,
+    INT64_MIN,
     BuiltinAtom,
     DataExample,
     Fact,
@@ -320,8 +323,49 @@ def parse_rules(text: str, file: str = "<rules>") -> RuleSet:
 # --------------------------------------------------------------------------
 
 
+# The common shape of a fact line, matched in one step: an ASCII relation name
+# starting uppercase, then constants (strings with \" and \\ escapes,
+# integers, decimals) with blanks or tabs between tokens.  Anything else --
+# comments, malformed input, out-of-range integers -- goes to the lexer, which
+# alone produces ParseError messages and positions.
+_STRING = r'"(?:[^"\\\n]|\\["\\])*"'
+_NUMBER = r"-?[0-9]+(?:\.[0-9]+)?"
+_CONST = f"(?:{_STRING}|{_NUMBER})"
+_FACT_LINE_RE = re.compile(
+    rf"[ \t]*([A-Z][A-Za-z0-9_]*)[ \t]*\([ \t]*({_CONST}(?:[ \t]*,[ \t]*{_CONST})*)[ \t]*\)[ \t]*")
+_CONST_RE = re.compile(f"({_STRING})|({_NUMBER})")
+_ESCAPE_RE = re.compile(r"\\(.)")
+
+
+def _fast_fact_line(raw: str) -> Optional[Fact]:
+    """The fact on a line of the common shape; None when the lexer must decide."""
+    m = _FACT_LINE_RE.fullmatch(raw)
+    if m is None:
+        return None
+    args = []
+    for quoted, number in _CONST_RE.findall(m.group(2)):
+        if quoted:
+            text = quoted[1:-1]
+            if "\\" in text:
+                text = _ESCAPE_RE.sub(r"\1", text)
+            args.append(Value(text))
+        elif "." in number:
+            args.append(Value(Decimal(number)))
+        else:
+            n = int(number)
+            if not INT64_MIN <= n <= INT64_MAX:
+                return None
+            args.append(Value(n))
+    return Fact(m.group(1), tuple(args))
+
+
 def _parse_fact_line(raw: str, file: str) -> Optional[Fact]:
     """Parse one line; None for blank/comment-only lines.  Positions are line-local."""
+    return _fast_fact_line(raw) or _lex_fact_line(raw, file)
+
+
+def _lex_fact_line(raw: str, file: str) -> Optional[Fact]:
+    """`_parse_fact_line` through the positioned lexer, for every line shape."""
     lexer = _Lexer(raw, file)
     tok = lexer.next()
     if tok.kind == "eof":

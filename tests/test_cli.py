@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ruleselect
 from ruleselect.cli import main
 
 from conftest import F1_PREMISE, F1_RULES, F1_TRUTH
@@ -104,6 +109,18 @@ def test_exit_code_capacity(capsys, f1_files):
     assert code == 3 and err["error"]["code"] == "capacity_exceeded"
 
 
+def test_exit_code_capacity_beyond_subset_masks(capsys, tmp_path):
+    # 70 rules under --max-rules 100: past the 62 rules a subset mask holds
+    run(capsys, ["gen", "random", "--seed", "5", "--universe", "20", "--sets", "70",
+                 "--out", str(tmp_path)])
+    files = ["--rules", str(tmp_path / "rules.rules"),
+             "--premise", str(tmp_path / "premise.facts"),
+             "--truth", str(tmp_path / "truth.facts")]
+    for command in (["select", "--objective", "fpfn", "--method", "exact"], ["pareto"]):
+        code, _, err = run(capsys, command + ["--max-rules", "100"] + files)
+        assert code == 3 and err["error"]["code"] == "capacity_exceeded", err
+
+
 def test_exit_code_limits_violation(capsys, f1_files, tmp_path):
     (tmp_path / "rules.rules").write_text("rule w: E(x,z), E(z,y) -> F(x,y).\n")
     (tmp_path / "premise.facts").write_text("E(1, 2)\n")
@@ -178,3 +195,26 @@ def test_pretty_output_is_not_json(capsys, f1_files):
     assert code == 0
     text = capsys.readouterr().out
     assert "pareto_points:" in text and "error  size" in text
+
+
+def test_non_enumeration_commands_do_not_import_numpy(f1_files, tmp_path):
+    # eval, check-feasible, gen and greedy select never load numpy; the exact
+    # names still resolve from the package once asked for.
+    script = f"""
+import sys
+from ruleselect.cli import main
+files = {f1_files!r}
+for argv in (["eval"] + files, ["check-feasible"] + files,
+             ["select", "--objective", "fpfn", "--method", "greedy"] + files,
+             ["gen", "thm1", "--out", {str(tmp_path / "gen")!r}]):
+    assert main(argv) == 0, argv
+assert "numpy" not in sys.modules, "numpy imported"
+from ruleselect import pareto_front, solve_exact
+assert callable(solve_exact) and callable(pareto_front)
+assert "numpy" in sys.modules
+"""
+    src = str(Path(ruleselect.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

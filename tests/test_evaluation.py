@@ -19,6 +19,7 @@ from ruleselect import (
     jaccard,
     parse_facts,
     parse_rules,
+    write_facts,
 )
 from ruleselect.generators import GenSeed, gen_random_ruleselect
 
@@ -180,12 +181,15 @@ RULE_CORPUS = [
     'rule g: R(x,x) -> Out(x).',
     'rule h: P(x), Q(y), jaccard_geq(x, y, 0.5) -> Pair(x,y).',
     'rule i: R(_, y) -> Out(y).',
+    'rule j: R(x, 2), P(x) -> Out(x).',
 ]
 
 
+# Every corpus rule runs on one premise, in drawn order, so the rules share
+# (and first build) the premise's index in varying orders.
 @given(st.integers(min_value=0, max_value=10**6),
-       st.sampled_from(RULE_CORPUS))
-def test_eval_rule_matches_naive_oracle(seed, rule_text):
+       st.permutations(RULE_CORPUS))
+def test_eval_rule_matches_naive_oracle(seed, rule_texts):
     import random
 
     rng = random.Random(seed)
@@ -196,6 +200,44 @@ def test_eval_rule_matches_naive_oracle(seed, rule_text):
             args = ", ".join(rng.choice(consts) for _ in range(arity))
             lines.append(f"{rel}({args})")
     premise = parse_facts("\n".join(lines), schema={"P": 1, "Q": 1, "R": 2})
-    rules = parse_rules(rule_text)
-    (rule,) = rules.rules
-    assert eval_rule(rule, premise) == naive_eval_rule(rule, premise)
+    for rule_text in rule_texts:
+        (rule,) = parse_rules(rule_text).rules
+        assert eval_rule(rule, premise) == naive_eval_rule(rule, premise), rule_text
+
+
+def test_concurrent_evaluation_shares_one_index():
+    # Threads race to build the lazy premise index; a lost or torn update
+    # would give a thread other facts or another index object.
+    import sys
+    import threading
+
+    rules, example = gen_random_ruleselect(
+        GenSeed(seed=3, n_universe=300, n_sets=12, density=0.4,
+                fp_noise=0.3, fn_noise=0.1, join_rules=4))
+    expected = EvalCache(rules, example.premise).per_rule
+    premise = parse_facts(write_facts(example.premise), schema=rules.premise_schema)
+    n_threads = 8
+    barrier = threading.Barrier(n_threads)
+    results = []
+
+    def work():
+        barrier.wait(timeout=60)
+        indexes = [premise.lookup(rel, (0,)) for rel in premise.schema]
+        results.append((EvalCache(rules, premise).per_rule, indexes))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == n_threads
+    first = results[0][1]
+    for per_rule, indexes in results:
+        assert per_rule == expected
+        assert all(a is b for a, b in zip(indexes, first))

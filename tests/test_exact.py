@@ -249,33 +249,39 @@ def test_kernels_beyond_numpy_chunk_threshold():
     j_int = rng.getrandbits(bits)
     masks = np.array([[m] for m in int_masks], dtype=np.uint64)
     j = np.array([j_int], dtype=np.uint64)
+    int_sizes = [rng.randint(1, 3) for _ in range(n)]
+    sizes = np.array(int_sizes, dtype=np.int64)
+
+    # Union and size of every subset, each from its mask without the lowest bit.
+    unions, subset_sizes = [0] * (1 << n), [0] * (1 << n)
+    for m in range(1, 1 << n):
+        low = (m & -m).bit_length() - 1
+        unions[m] = unions[m & (m - 1)] | int_masks[low]
+        subset_sizes[m] = subset_sizes[m & (m - 1)] + int_sizes[low]
 
     for fp_only in (False, True):
         best = None
+        profile = [(-1, -1)] * (sum(int_sizes) + 1)  # per size: (least error, lowest mask)
         for m in range(1 << n):
-            union = 0
-            sel = m
-            while sel:
-                union |= int_masks[(sel & -sel).bit_length() - 1]
-                sel &= sel - 1
-            fp = bin(union & ~j_int & (1 << bits) - 1).count("1")
-            fn = bin(j_int & ~union).count("1")
+            fp = bin(unions[m] & ~j_int).count("1")
+            fn = bin(j_int & ~unions[m]).count("1")
             if fp_only and fn:
                 continue
             err = fp if fp_only else fp + fn
             if best is None or err < best[0]:
                 best = (err, m)
+            s = subset_sizes[m]
+            if profile[s][0] < 0 or err < profile[s][0]:
+                profile[s] = (err, m)
         for backend in ("numba", "numpy"):
             for prune in (True, False):
                 got = _kernels.solve_exact_masks(
                     masks, j, fp_only=fp_only, prune=prune, backend=backend)
                 assert got == best, (backend, prune, fp_only)
-
-    sizes = np.array([rng.randint(1, 3) for _ in range(n)], dtype=np.int64)
-    for fp_only in (False, True):
-        nb = _kernels.size_profile_masks(masks, sizes, j, fp_only=fp_only, backend="numba")
-        np_ = _kernels.size_profile_masks(masks, sizes, j, fp_only=fp_only, backend="numpy")
-        assert np.array_equal(nb[0], np_[0]) and np.array_equal(nb[1], np_[1])
+            got_err, got_witness = _kernels.size_profile_masks(
+                masks, sizes, j, fp_only=fp_only, backend=backend)
+            assert list(zip(got_err.tolist(), got_witness.tolist())) == profile, \
+                (backend, fp_only)
 
 
 def test_env_var_selects_backend(monkeypatch):

@@ -1,7 +1,7 @@
 from decimal import Decimal
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ruleselect import (
     ParseError,
@@ -12,6 +12,7 @@ from ruleselect import (
     write_rules,
 )
 from ruleselect.generators import GenSeed, gen_random_ruleselect
+from ruleselect.parser import _fast_fact_line, _lex_fact_line, _parse_fact_line
 
 from conftest import F1_PREMISE, F1_RULES
 
@@ -152,3 +153,66 @@ def test_inferred_schema_order_insensitive(lines):
 def test_rules_file_roundtrip_text_level(f1):
     rules, _ = f1
     assert write_rules(parse_rules(F1_RULES)) == F1_RULES
+
+
+def _quote(text):
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+_BLANKS = st.sampled_from(["", " ", "\t", " \t "])
+_CONSTANTS = st.one_of(
+    st.text(alphabet=st.sampled_from('ab #,()"\\\té€'), max_size=6).map(_quote),
+    st.integers(min_value=-2**64, max_value=2**64).map(str),
+    st.integers(min_value=2**63 - 2, max_value=2**63 + 1).map(str),
+    st.decimals(min_value=-1000, max_value=1000, places=3).map(lambda d: format(d, "f")),
+    st.sampled_from(['"open', '"bad \\n"', "1.", "--1", "-", ".5", "0x1", "x", "_", ""]),
+)
+
+
+@st.composite
+def _fact_lines(draw):
+    """Fact-shaped lines, some malformed: names, separators and tails vary."""
+    parts = [draw(_BLANKS), draw(st.sampled_from(["A", "Rel_2", "a", "neq", "_B", "É", "A b"])),
+             draw(_BLANKS), draw(st.sampled_from(["(", "(", "["])), draw(_BLANKS)]
+    for i, constant in enumerate(draw(st.lists(_CONSTANTS, max_size=4))):
+        if i:
+            parts += [draw(_BLANKS), draw(st.sampled_from([",", ",", ";", ""])), draw(_BLANKS)]
+        parts.append(constant)
+    parts += [draw(_BLANKS), draw(st.sampled_from([")", ")", "", "))"])), draw(_BLANKS),
+              draw(st.sampled_from(["", "", "# note", "x", "."]))]
+    return "".join(parts)
+
+
+def _outcome(parse_line, raw):
+    try:
+        return repr(parse_line(raw, "<facts>"))
+    except ParseError as e:
+        return (e.message, e.line, e.column)
+
+
+# Lines one token away from the fast path's shape, pinned as examples.
+_EDGE_LINES = [
+    "A(1.)", "A(1.5.2)", "A(-)", "A(--1)", "A(-> 1)", "A(.5)", "A()", "A(1,)", "A(,1)",
+    "A(1 2)", "A(1)x", "A(1) # c", "# only", "", " \t", "a(1)", "neq(1, 2)", "É(1)",
+    "A (1)", ' \tA( 1 ,\t"2" )\t', 'A("x\\q")', 'A("open', 'A("a\nb")', "A(1)\nB(2)",
+    f"A({2**63})", f"A({-2**63 - 1})", "A(00.50, -0, -0.0)", 'A("\u2028")',
+]
+
+
+@settings(max_examples=400)
+@given(st.one_of(_fact_lines(), st.text(max_size=40)))
+def test_fact_fast_path_agrees_with_lexer(raw):
+    assert _outcome(_parse_fact_line, raw) == _outcome(_lex_fact_line, raw)
+
+
+for _raw in _EDGE_LINES:
+    test_fact_fast_path_agrees_with_lexer = example(_raw)(test_fact_fast_path_agrees_with_lexer)
+
+
+def test_canonical_fact_lines_take_the_fast_path():
+    lines = ['A("a\\"b\\\\c")', 'Rel_2(-7, 2.50, "é # ,)")', 'B(\t1 ,"" )',
+             f"N({2**63 - 1}, {-2**63})"]
+    for raw in lines:
+        assert _fast_fact_line(raw) is not None, raw
+        assert repr(_fast_fact_line(raw)) == _outcome(_lex_fact_line, raw)
+    assert _fast_fact_line(f"N({2**63})") is None  # out of range: the lexer reports it
