@@ -9,7 +9,7 @@ from .model import Fact
 
 
 class PackedUniverse:
-    """Fixed, canonically sorted fact universe with mask packing/unpacking."""
+    """Fixed, canonically sorted fact universe with mask packing."""
 
     __slots__ = ("facts", "index", "n_words")
 
@@ -33,10 +33,3 @@ class PackedUniverse:
         for r, fs in enumerate(fact_sets):
             rows[r] = self.pack(fs)
         return rows
-
-    def unpack(self, mask: np.ndarray) -> frozenset:
-        out = []
-        for i, f in enumerate(self.facts):
-            if mask[i >> 6] >> np.uint64(i & 63) & np.uint64(1):
-                out.append(f)
-        return frozenset(out)

@@ -23,6 +23,7 @@ from .model import (
     InfeasibleError,
     RuleSet,
     ValidationError,
+    check_selection,
     ruleset_size,
     validate,
 )
@@ -60,7 +61,6 @@ def _build_parser() -> _Parser:
             p.add_argument("--truth", required=True)
         p.add_argument("--limits", default=None, metavar="a,r")
         p.add_argument("--max-rules", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--pretty", action="store_true")
 
     p_eval = sub.add_parser("eval", description="Evaluate a selection against the truth.")
@@ -157,10 +157,12 @@ def _selection_report(rules: RuleSet, example: DataExample, selection,
 
 def _cmd_eval(args) -> dict:
     rules, example = _load(args)
+    if args.select is not None:  # evaluate only the selected rules
+        names = check_selection(rules, (s for s in args.select.split(",") if s))
+        rules = RuleSet([r for r in rules.rules if r.name in names],
+                        rules.premise_schema, rules.conclusion_schema)
     cache = EvalCache(rules, example.premise)
-    names = rules.names() if args.select is None else \
-        tuple(s for s in args.select.split(",") if s)
-    body, total = _selection_report(rules, example, frozenset(names), cache)
+    body, total = _selection_report(rules, example, frozenset(rules.names()), cache)
     return {"command": "eval", **body, "error": total}
 
 
@@ -328,8 +330,6 @@ def main(argv=None) -> int:
     except Exception as e:  # contract: failures are always a JSON object on stderr
         _error("internal_error", f"{type(e).__name__}: {e}")
         return EXIT_USAGE
-    if getattr(args, "seed", None) is not None and "seed" not in report:
-        report["seed"] = args.seed
     report["runtime_ms"] = int((time.perf_counter() - start) * 1000)
     _emit(_ordered(report), getattr(args, "pretty", False), sys.stdout)
     return EXIT_OK

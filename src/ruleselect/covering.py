@@ -9,7 +9,6 @@ positive element and running the red-blue greedy.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -23,7 +22,7 @@ from .model import (
     Selection,
     ValidationError,
 )
-from .parser import ParseError, _Lexer, format_fact
+from .parser import format_fact
 
 
 def _check_system(ground_a, ground_b, sets, kind_a, kind_b):
@@ -76,16 +75,13 @@ class PnpscInstance:
 
 @dataclass(frozen=True)
 class GreedyConfig:
-    """Threshold schedule policy and tie-break policy for the greedy solver."""
+    """Threshold schedule policy for the greedy solver."""
 
     schedule: str = "both"  # powers-of-two | exact-counts | both
-    tie_break: str = "lex"
 
     def __post_init__(self):
         if self.schedule not in ("powers-of-two", "exact-counts", "both"):
             raise ValidationError(f"unknown schedule policy {self.schedule!r}")
-        if self.tie_break != "lex":
-            raise ValidationError(f"unknown tie-break policy {self.tie_break!r}")
 
 
 @dataclass(frozen=True)
@@ -294,84 +290,3 @@ def greedy_fp_bound(n_rules: int, truth_size: int) -> float:
 def greedy_fpfn_bound(n_rules: int, truth_size: int) -> float:
     """Approximation factor the FP+FN-objective pipeline is held to empirically."""
     return 2.0 * math.sqrt((n_rules + truth_size) * max(1.0, math.log2(max(1, truth_size))))
-
-
-# --------------------------------------------------------------------------
-# Standalone set-system text format (debugging aid)
-# --------------------------------------------------------------------------
-
-_BARE_ID = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-
-
-def _format_id(s: str) -> str:
-    if _BARE_ID.match(s):
-        return s
-    escaped = s.replace("\\", "\\\\").replace('"', '\\"')
-    return f'"{escaped}"'
-
-
-def write_setsystem(instance: RbscInstance) -> str:
-    """Text form: `red:` / `blue:` headers, then one `set <label>: ...` per set."""
-    lines = ["red: " + " ".join(_format_id(e) for e in sorted(instance.red)),
-             "blue: " + " ".join(_format_id(e) for e in sorted(instance.blue))]
-    for label, members in instance.sets:
-        lines.append(f"set {_format_id(label)}: "
-                     + " ".join(_format_id(e) for e in sorted(members)))
-    return "\n".join(lines) + "\n"
-
-
-def _lex_ids(lexer: _Lexer):
-    out = []
-    while True:
-        tok = lexer.next()
-        if tok.kind == "eof":
-            return out
-        if tok.kind == "ident":
-            out.append(tok.value)
-        elif tok.kind == "string":
-            out.append(tok.value)
-        elif tok.kind == "number":
-            out.append(str(tok.value))
-        else:
-            lexer.error(f"unexpected token {tok.value!r}", 1, tok.col)
-
-
-def parse_setsystem(text: str, file: str = "<setsystem>") -> RbscInstance:
-    """Parse the debug text format; labels map back to themselves."""
-    red = blue = None
-    sets = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        lexer = _Lexer(raw, file)
-        try:
-            tok = lexer.next()
-            if tok.kind == "eof":
-                continue
-            if tok.kind != "ident":
-                lexer.error("expected 'red', 'blue' or 'set'", 1, tok.col)
-            head = tok.value
-            if head in ("red", "blue"):
-                tok = lexer.next()
-                if not (tok.kind == "punct" and tok.value == ":"):
-                    lexer.error("expected ':'", 1, tok.col)
-                ids = frozenset(_lex_ids(lexer))
-                if head == "red":
-                    red = ids
-                else:
-                    blue = ids
-            elif head == "set":
-                tok = lexer.next()
-                if tok.kind not in ("ident", "string"):
-                    lexer.error("expected a set label", 1, tok.col)
-                label = tok.value
-                tok = lexer.next()
-                if not (tok.kind == "punct" and tok.value == ":"):
-                    lexer.error("expected ':'", 1, tok.col)
-                sets.append((label, frozenset(_lex_ids(lexer))))
-            else:
-                lexer.error(f"unknown header {head!r}", 1, tok.col)
-        except ParseError as pe:
-            raise ParseError(pe.message, file, lineno, pe.column, raw) from None
-    if red is None or blue is None:
-        raise ValidationError("set-system text needs both 'red:' and 'blue:' headers")
-    return RbscInstance(red=red, blue=blue, sets=tuple(sets),
-                        back_map={label: label for label, _ in sets})

@@ -2,9 +2,10 @@
 
 All procedures here are exponential-time oracles over at most `max_rules`
 rules: per-rule outputs are bit vectors over the fact universe
-Eval(all rules, I) union J, and subsets are walked with incremental unions
-and FP-count pruning.  Witnesses are canonical: the first optimal subset with
-rule i (declaration order) at bit i, subsets ordered by ascending mask.
+Eval(all rules, I) union J, and one kernel tabulates the least error and its
+lowest subset mask per selection size.  Witnesses are canonical: the first
+optimal subset with rule i (declaration order) at bit i, subsets ordered by
+ascending mask.
 """
 from __future__ import annotations
 
@@ -37,7 +38,6 @@ OBJECTIVES = ("fp", "fpfn")
 class ExactConfig:
     max_rules: int = 24
     objective: str = "fpfn"
-    prune: bool = True
 
     def __post_init__(self):
         if self.objective not in OBJECTIVES:
@@ -93,7 +93,7 @@ def solve_exact(rules: RuleSet, example: DataExample,
     config = config or ExactConfig()
     cache, rule_masks, j_mask = _prepare(rules, example, config, cache)
     err, mask = _kernels.solve_exact_masks(
-        rule_masks, j_mask, fp_only=config.objective == "fp", prune=config.prune)
+        rule_masks, j_mask, fp_only=config.objective == "fp")
     if mask < 0:
         raise InfeasibleError(frozenset())  # unreachable given the precondition
     return err, _mask_to_selection(rules, mask)
@@ -117,7 +117,7 @@ def decision_exact_value(rules: RuleSet, example: DataExample, k: int, objective
 
 def _with_objective(config: Optional[ExactConfig], objective: str) -> ExactConfig:
     base = config or ExactConfig()
-    return ExactConfig(max_rules=base.max_rules, objective=objective, prune=base.prune)
+    return ExactConfig(max_rules=base.max_rules, objective=objective)
 
 
 def _size_profile(rules: RuleSet, example: DataExample, config: ExactConfig,

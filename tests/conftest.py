@@ -3,7 +3,7 @@ from hypothesis import HealthCheck, settings
 
 from ruleselect import DataExample, parse_facts, parse_rules
 
-# JIT warmup inside a test would trip hypothesis' per-example deadline.
+# Some examples enumerate thousands of subsets; no per-example deadline.
 settings.register_profile(
     "suite", deadline=None, suppress_health_check=[HealthCheck.too_slow])
 settings.load_profile("suite")
@@ -42,7 +42,7 @@ def f1():
 
 @pytest.fixture(scope="session", autouse=True)
 def warm_kernels():
-    """Compile/load the enumeration kernels once so tests measure algorithm time."""
+    """Import numpy and the exact solvers once, outside any timed example."""
     from ruleselect import ExactConfig, pareto_front, solve_exact
     from ruleselect.generators import GenSeed, gen_random_ruleselect
 

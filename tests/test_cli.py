@@ -76,6 +76,24 @@ def test_eval_with_selection(capsys, f1_files):
     assert (out["fp_count"], out["fn_count"], out["error"], out["size"]) == (1, 1, 2, 1)
 
 
+def test_eval_with_selection_evaluates_only_the_selected_rules(capsys, f1_files, monkeypatch):
+    from ruleselect import evaluation
+
+    evaluated = []
+    original = evaluation.eval_rule
+
+    def counting(rule, *args, **kwargs):
+        evaluated.append(rule.name)
+        return original(rule, *args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "eval_rule", counting)
+    code, out, _ = run(capsys, ["eval", "--select", "r1"] + f1_files)
+    assert code == 0 and out["selected_rules"] == ["r1"]
+    assert evaluated == ["r1"]
+    code, _, err = run(capsys, ["eval", "--select", "r1,nope"] + f1_files)
+    assert code == 1 and err["error"]["code"] == "validation_error"
+
+
 def test_check_feasible(capsys, f1_files, tmp_path):
     code, out, _ = run(capsys, ["check-feasible"] + f1_files)
     assert code == 0 and out["feasible"] is True and out["missing"] == []

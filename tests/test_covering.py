@@ -20,7 +20,7 @@ from ruleselect import (
     solve_pnpsc_approx,
     solve_rbsc_greedy,
 )
-from ruleselect.covering import fact_id, parse_setsystem, write_setsystem
+from ruleselect.covering import fact_id
 from ruleselect.generators import GenSeed, gen_random_ruleselect
 
 from oracles import brute_force_pnpsc_min, brute_force_rbsc_min, subsets_canonical
@@ -281,21 +281,3 @@ def test_greedy_feasible_and_bounded_by_brute_force(seed):
     assert inst.blue <= union
     assert cover.cost == len(union & inst.red)
     assert cover.cost >= brute_force_rbsc_min(inst)
-
-
-def test_setsystem_round_trip(f1):
-    rules, example = f1
-    inst = build_rbsc(rules, example)
-    text = write_setsystem(inst)
-    again = parse_setsystem(text)
-    assert again.red == inst.red and again.blue == inst.blue
-    assert again.sets == inst.sets
-    plain = parse_setsystem("red: x y\nblue: b\nset s1: b x\n")
-    assert plain.blue == {"b"} and dict(plain.sets) == {"s1": {"b", "x"}}
-
-
-def test_setsystem_round_trip_hostile_ids():
-    inst = RbscInstance(red=frozenset({"a\\b", 'x"y'}), blue=frozenset({"plain"}),
-                        sets=(("weird label", frozenset({"plain", "a\\b"})),))
-    again = parse_setsystem(write_setsystem(inst))
-    assert (again.red, again.blue, again.sets) == (inst.red, inst.blue, inst.sets)
