@@ -7,14 +7,12 @@ enumeration, and bi-level (error, then size) optimization.
 """
 from .covering import (
     CoverSelection,
-    GreedyConfig,
     PnpscInstance,
     RbscInstance,
     build_pnpsc,
     build_rbsc,
     greedy_fp_bound,
     greedy_fpfn_bound,
-    map_back,
     pnpsc_to_rbsc,
     solve_pnpsc_approx,
     solve_rbsc_greedy,

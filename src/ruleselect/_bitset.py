@@ -1,35 +1,30 @@
-"""Bit-packed fact universes: facts become bit positions in uint64 word arrays."""
+"""Bit-packed element universes shared by the exact and greedy solvers.
+
+Each element of a fixed universe owns one bit of a Python `int`, so a set of
+elements packs into one int, unions are `|`, and sizes are `bit_count()`.
+Bit positions follow set iteration order: every result the solvers report
+depends only on counts and unions, never on which bit an element holds.
+"""
 from __future__ import annotations
 
-from typing import Iterable
-
-import numpy as np
-
-from .model import Fact
+from typing import Hashable, Iterable
 
 
 class PackedUniverse:
-    """Fixed, canonically sorted fact universe with mask packing."""
+    """Fixed element universe; `index[e]` is the one-bit mask of element `e`."""
 
     __slots__ = ("facts", "index", "n_words")
 
-    def __init__(self, facts: Iterable[Fact]):
-        self.facts = tuple(sorted(set(facts), key=Fact.sort_key))
-        self.index = {f: i for i, f in enumerate(self.facts)}
+    def __init__(self, elements: Iterable[Hashable]):
+        self.facts = tuple(set(elements))
+        self.index = {e: 1 << i for i, e in enumerate(self.facts)}
         self.n_words = max(1, -(-len(self.facts) // 64))
 
-    def __len__(self):
-        return len(self.facts)
-
-    def pack(self, facts: Iterable[Fact]) -> np.ndarray:
-        mask = np.zeros(self.n_words, dtype=np.uint64)
-        for f in facts:
-            i = self.index[f]
-            mask[i >> 6] |= np.uint64(1) << np.uint64(i & 63)
+    def pack(self, elements: Iterable[Hashable]) -> int:
+        mask = 0
+        for e in elements:
+            mask |= self.index[e]
         return mask
 
-    def pack_rows(self, fact_sets) -> np.ndarray:
-        rows = np.zeros((len(fact_sets), self.n_words), dtype=np.uint64)
-        for r, fs in enumerate(fact_sets):
-            rows[r] = self.pack(fs)
-        return rows
+    def pack_rows(self, element_sets) -> list:
+        return [self.pack(es) for es in element_sets]

@@ -11,6 +11,10 @@ subsets at its lowest mask.
 Subset bitmasks use the canonical order throughout: rule i (declaration
 order) occupies bit i, and subsets are ranked by ascending mask value, so the
 "first" witness is the lowest mask among optima.
+
+Fact sets arrive as the Python ints of `_bitset.PackedUniverse`; `as_words`
+lays them out as rows of uint64 words, fact bit i at bit i % 64 of word
+i // 64, for the kernel.
 """
 from __future__ import annotations
 
@@ -18,6 +22,13 @@ import numpy as np
 
 #: Subset masks are int64 values with rule i at bit i.
 MAX_RULES = 62
+
+
+def as_words(masks, n_words: int) -> np.ndarray:
+    """Int bit masks as a (len(masks), n_words) uint64 array."""
+    raw = b"".join(m.to_bytes(8 * n_words, "little") for m in masks)
+    words = np.frombuffer(raw, dtype="<u8").reshape(len(masks), n_words)
+    return words.astype(np.uint64)
 
 
 def _popcount_rows(a: np.ndarray) -> np.ndarray:

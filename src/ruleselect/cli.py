@@ -54,17 +54,17 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="ruleselect", add_help=True)
     sub = parser.add_subparsers(dest="command")
 
-    def add_common(p, files=True):
-        if files:
-            p.add_argument("--rules", required=True)
-            p.add_argument("--premise", required=True)
-            p.add_argument("--truth", required=True)
+    def add_common(p, enumerates=True):
+        p.add_argument("--rules", required=True)
+        p.add_argument("--premise", required=True)
+        p.add_argument("--truth", required=True)
         p.add_argument("--limits", default=None, metavar="a,r")
-        p.add_argument("--max-rules", type=int, default=None)
+        if enumerates:
+            p.add_argument("--max-rules", type=int, default=None)
         p.add_argument("--pretty", action="store_true")
 
     p_eval = sub.add_parser("eval", description="Evaluate a selection against the truth.")
-    add_common(p_eval)
+    add_common(p_eval, enumerates=False)
     p_eval.add_argument("--select", default=None, help="comma-separated rule names (default: all)")
 
     p_select = sub.add_parser("select", description="Pick a low-error subset of rules.")
@@ -83,7 +83,7 @@ def _build_parser() -> _Parser:
     p_member.add_argument("--point", required=True, metavar="e,s")
 
     p_feas = sub.add_parser("check-feasible")
-    add_common(p_feas)
+    add_common(p_feas, enumerates=False)
 
     p_gen = sub.add_parser("gen", description="Generate an instance onto disk.")
     p_gen.add_argument("mode", choices=("thm1", "thm3", "clones", "random"))
@@ -134,11 +134,11 @@ def _load(args):
 
 
 # Only the enumeration commands import `exact`, which loads numpy.
-def _exact_config(args, objective="fpfn"):
+def _exact_config(args):
     from .exact import ExactConfig
 
-    kwargs = {"objective": objective}
-    if getattr(args, "max_rules", None):
+    kwargs = {"objective": args.objective}
+    if args.max_rules is not None:
         kwargs["max_rules"] = args.max_rules
     return ExactConfig(**kwargs)
 
@@ -173,7 +173,7 @@ def _cmd_select(args) -> dict:
         from . import exact
 
         err, selection = exact.solve_exact(
-            rules, example, _exact_config(args, args.objective), cache)
+            rules, example, _exact_config(args), cache)
         body, _ = _selection_report(rules, example, selection, cache)
         return {"command": "select", "objective": args.objective, "method": "exact",
                 **body, "error": err, "optimal": True}
@@ -183,7 +183,7 @@ def _cmd_select(args) -> dict:
     else:
         cover = covering.solve_pnpsc_approx(covering.build_pnpsc(rules, example, cache))
         bound = covering.greedy_fpfn_bound(len(rules), len(example.truth.facts))
-    selection = covering.map_back(cover, {r.name: r.name for r in rules.rules})
+    selection = frozenset(cover.chosen)
     body, total = _selection_report(rules, example, selection, cache)
     err = body["fp_count"] if args.objective == "fp" else total
     return {"command": "select", "objective": args.objective, "method": "greedy",
@@ -194,7 +194,7 @@ def _cmd_pareto(args) -> dict:
     from . import exact
 
     rules, example = _load(args)
-    front = exact.pareto_front(rules, example, _exact_config(args, args.objective))
+    front = exact.pareto_front(rules, example, _exact_config(args))
     points = [[p.error, p.size] for p in sorted(front.points, key=lambda p: p.size)]
     return {"command": "pareto", "objective": args.objective, "pareto_points": points}
 
@@ -204,7 +204,7 @@ def _cmd_bilevel(args) -> dict:
 
     rules, example = _load(args)
     cache = EvalCache(rules, example.premise)
-    result = exact.bilevel_optimum(rules, example, _exact_config(args, args.objective), cache)
+    result = exact.bilevel_optimum(rules, example, _exact_config(args), cache)
     body, _ = _selection_report(rules, example, result.witness, cache)
     return {"command": "bilevel", "objective": args.objective, **body,
             "error": result.error, "size": result.size, "optimal": True}
@@ -216,7 +216,7 @@ def _cmd_member(args) -> dict:
     rules, example = _load(args)
     e, s = _parse_point(args.point)
     member = exact.pareto_membership(rules, example, e, s,
-                                     _exact_config(args, args.objective))
+                                     _exact_config(args))
     return {"command": "member", "objective": args.objective,
             "member": member, "point": [e, s]}
 

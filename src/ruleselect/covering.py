@@ -4,22 +4,24 @@ A rule-selection problem maps to a red-blue instance (FP objective: cover the
 truth facts, touch few spurious ones) or to a positive-negative instance
 (FP+FN objective: uncovered positives and covered negatives both cost).  The
 positive-negative problem is solved by augmenting with one "skip" set per
-positive element and running the red-blue greedy.
+positive element and running the red-blue greedy.  The greedy packs each set
+into one int of a `_bitset.PackedUniverse`, so every step is unions and
+popcounts.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
+from bisect import bisect_right
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
+from ._bitset import PackedUniverse
 from .evaluation import EvalCache, _cache_for, check_fp_feasible
 from .model import (
     CoverageError,
     DataExample,
     InfeasibleError,
     RuleSet,
-    Selection,
     ValidationError,
 )
 from .parser import format_fact
@@ -46,7 +48,6 @@ class RbscInstance:
     red: frozenset
     blue: frozenset
     sets: tuple  # ordered (label, frozenset of element ids)
-    back_map: dict = field(default_factory=dict)  # label -> rule name | None (synthetic)
 
     def __post_init__(self):
         _check_system(self.red, self.blue, self.sets, "red", "blue")
@@ -59,7 +60,6 @@ class PnpscInstance:
     positive: frozenset
     negative: frozenset
     sets: tuple
-    back_map: dict = field(default_factory=dict)
 
     def __post_init__(self):
         _check_system(self.positive, self.negative, self.sets, "positive", "negative")
@@ -74,50 +74,40 @@ class PnpscInstance:
 
 
 @dataclass(frozen=True)
-class GreedyConfig:
-    """Threshold schedule policy for the greedy solver."""
-
-    schedule: str = "both"  # powers-of-two | exact-counts | both
-
-    def __post_init__(self):
-        if self.schedule not in ("powers-of-two", "exact-counts", "both"):
-            raise ValidationError(f"unknown schedule policy {self.schedule!r}")
-
-
-@dataclass(frozen=True)
 class CoverSelection:
     """A solver result; every reported quantity is recomputable from `chosen`."""
 
     chosen: tuple  # labels, sorted
     cost: int
     covered_red: frozenset = frozenset()
-    covered_blue: frozenset = frozenset()
-    uncovered_positive: frozenset = frozenset()
-    covered_negative: frozenset = frozenset()
 
 
 def fact_id(f) -> str:
     return format_fact(f)
 
 
-def build_rbsc(rules: RuleSet, example: DataExample,
-               cache: Optional[EvalCache] = None) -> RbscInstance:
-    """Truth facts become blue, spurious derivable facts red, one set per rule.
+def _fact_sets(rules: RuleSet, example: DataExample, cache: EvalCache):
+    """Truth ids, spurious derivable ids, and one (rule name, ids) set per rule.
 
     Sets are deliberately not deduplicated across rules with equal output, so
     labels stay in one-to-one correspondence with rules.
     """
+    truth = example.truth.facts
+    sets = tuple((r.name, frozenset(fact_id(f) for f in cache.per_rule[r.name]))
+                 for r in rules.rules)
+    return (frozenset(fact_id(f) for f in truth),
+            frozenset(fact_id(f) for f in cache.union - truth), sets)
+
+
+def build_rbsc(rules: RuleSet, example: DataExample,
+               cache: Optional[EvalCache] = None) -> RbscInstance:
+    """Truth facts become blue, spurious derivable facts red, one set per rule."""
     cache = _cache_for(rules, example.premise, cache)
     feas = check_fp_feasible(rules, example, cache)
     if not feas.ok:
         raise InfeasibleError(feas.missing)
-    truth = example.truth.facts
-    blue = frozenset(fact_id(f) for f in truth)
-    red = frozenset(fact_id(f) for f in cache.union - truth)
-    sets = tuple((r.name, frozenset(fact_id(f) for f in cache.per_rule[r.name]))
-                 for r in rules.rules)
-    return RbscInstance(red=red, blue=blue, sets=sets,
-                        back_map={r.name: r.name for r in rules.rules})
+    blue, red, sets = _fact_sets(rules, example, cache)
+    return RbscInstance(red=red, blue=blue, sets=sets)
 
 
 def build_pnpsc(rules: RuleSet, example: DataExample,
@@ -128,13 +118,8 @@ def build_pnpsc(rules: RuleSet, example: DataExample,
     uncovered and cost one each.
     """
     cache = _cache_for(rules, example.premise, cache)
-    truth = example.truth.facts
-    positive = frozenset(fact_id(f) for f in truth)
-    negative = frozenset(fact_id(f) for f in cache.union - truth)
-    sets = tuple((r.name, frozenset(fact_id(f) for f in cache.per_rule[r.name]))
-                 for r in rules.rules)
-    return PnpscInstance(positive=positive, negative=negative, sets=sets,
-                         back_map={r.name: r.name for r in rules.rules})
+    positive, negative, sets = _fact_sets(rules, example, cache)
+    return PnpscInstance(positive=positive, negative=negative, sets=sets)
 
 
 def pnpsc_to_rbsc(instance: PnpscInstance) -> RbscInstance:
@@ -153,62 +138,55 @@ def pnpsc_to_rbsc(instance: PnpscInstance) -> RbscInstance:
             raise ValidationError(f"skip marker for {p!r} collides with existing ids")
         markers[p] = (label, marker)
     red = frozenset(instance.negative) | frozenset(m for _, m in markers.values())
-    sets = list(instance.sets)
-    back_map = dict(instance.back_map)
-    for p in sorted(markers):
-        label, marker = markers[p]
-        sets.append((label, frozenset({p, marker})))
-        back_map[label] = None
-    return RbscInstance(red=red, blue=instance.positive, sets=tuple(sets),
-                        back_map=back_map)
+    skips = tuple((label, frozenset({p, marker})) for p, (label, marker) in markers.items())
+    return RbscInstance(red=red, blue=instance.positive, sets=(*instance.sets, *skips))
 
 
-def _threshold_schedule(red_counts, policy: str):
-    mx = max(red_counts) if red_counts else 0
-    taus = {0, mx}
-    if policy in ("powers-of-two", "both"):
-        t = 1
-        while t <= mx:
-            taus.add(t)
-            t *= 2
-    if policy == "exact-counts" or (policy == "both" and len(set(red_counts)) <= 64):
-        taus.update(red_counts)
-    return sorted(taus)
+def _thresholds(red_counts):
+    """Red-count ceilings to sweep: every distinct count, or with more than 64
+    of them the counts that 0, the maximum and the powers of two reach.
+
+    A ceiling admits the same sets as the largest count at or below it, so
+    only counts are ever needed.
+    """
+    counts = sorted(set(red_counts))
+    if not counts:
+        return [0]
+    if len(counts) <= 64:
+        return counts
+    taus = [0, counts[-1]] + [1 << k for k in range(counts[-1].bit_length())]
+    return sorted({counts[bisect_right(counts, t) - 1] for t in taus if t >= counts[0]})
 
 
 def _greedy_pass(sets, red, blue):
-    """One weighted-greedy run; `sets` must already cover blue.
+    """One weighted-greedy run over (label, mask) sets that together cover blue.
 
-    Rank per step: zero-new-red sets strictly first (most new blue, then
-    label); otherwise smallest new-red/new-blue ratio, most new blue, then
-    label.  Only sets contributing new blue are considered.
+    Each step takes the set of smallest new-red/new-blue ratio, then most new
+    blue, then lowest label, among the sets that still add blue.
     """
-    covered: set = set()
+    covered = 0
     chosen = []
-    available = dict(sets)
-    while not blue <= covered:
-        best_key = None
-        best_label = None
-        for label, members in available.items():
-            fresh = members - covered
-            nb = len(fresh & blue)
+    available = sets
+    while blue & ~covered:
+        best = None
+        still = []
+        for label, mask in available:
+            fresh = mask & ~covered
+            nb = (fresh & blue).bit_count()
             if nb == 0:
-                continue
-            nr = len(fresh & red)
-            if nr == 0:
-                key = (0, Fraction(0), -nb, label)
-            else:
-                key = (1, Fraction(nr, nb), -nb, label)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_label = label
-        chosen.append(best_label)
-        covered |= available.pop(best_label)
+                continue  # covered only grows: this set never adds blue again
+            still.append((label, mask))
+            nr = (fresh & red).bit_count()
+            # (nr/nb, -nb, label) below best's, with the ratios cross-multiplied
+            if best is None or (nr * best[1], -nb, label) < (best[0] * nb, -best[1], best[2]):
+                best = (nr, nb, label, mask)
+        chosen.append(best[2])
+        covered |= best[3]
+        available = still
     return chosen, covered
 
 
-def solve_rbsc_greedy(instance: RbscInstance,
-                      config: Optional[GreedyConfig] = None) -> CoverSelection:
+def solve_rbsc_greedy(instance: RbscInstance) -> CoverSelection:
     """Threshold-sweep greedy: per threshold, restrict to sets with at most
     that many reds, cover blue greedily, and keep the best candidate overall.
 
@@ -216,70 +194,39 @@ def solve_rbsc_greedy(instance: RbscInstance,
     lexicographic label list.  Fully deterministic and invariant under
     permutations of the set list.
     """
-    config = config or GreedyConfig()
-    union_all = set()
-    for _, members in instance.sets:
-        union_all |= members
-    uncoverable = instance.blue - union_all
-    if uncoverable:
-        raise CoverageError(f"blue element {sorted(uncoverable)[0]!r} is in no set")
-
-    red_counts = [len(members & instance.red) for _, members in instance.sets]
+    universe = PackedUniverse(instance.red | instance.blue)
+    red = universe.pack(instance.red)
+    blue = universe.pack(instance.blue)
+    labels = [label for label, _ in instance.sets]
+    masks = universe.pack_rows([members for _, members in instance.sets])
+    red_counts = [(mask & red).bit_count() for mask in masks]
     best = None
-    for tau in _threshold_schedule(red_counts, config.schedule):
-        eligible = [(label, members) for (label, members), rc
-                    in zip(instance.sets, red_counts) if rc <= tau]
-        covered_by_eligible = set()
-        for _, members in eligible:
-            covered_by_eligible |= members
-        if not instance.blue <= covered_by_eligible:
+    for tau in _thresholds(red_counts):
+        eligible = [(label, mask) for label, mask, rc in zip(labels, masks, red_counts)
+                    if rc <= tau]
+        reach = 0
+        for _, mask in eligible:
+            reach |= mask
+        if blue & ~reach:
             continue
-        chosen, covered = _greedy_pass(eligible, instance.red, instance.blue)
-        labels = tuple(sorted(chosen))
-        key = (len(covered & instance.red), len(labels), labels)
+        chosen, covered = _greedy_pass(eligible, red, blue)
+        key = ((covered & red).bit_count(), len(chosen), tuple(sorted(chosen)))
         if best is None or key < best[0]:
-            best = (key, labels, covered)
-    _, labels, covered = best
-    return CoverSelection(
-        chosen=labels,
-        cost=len(covered & instance.red),
-        covered_red=frozenset(covered & instance.red),
-        covered_blue=frozenset(covered & instance.blue),
-    )
+            best = (key, covered)
+    if best is None:  # the last threshold admits every set
+        missing = min(e for e in instance.blue if not universe.index[e] & reach)
+        raise CoverageError(f"blue element {missing!r} is in no set")
+    (cost, _, chosen), covered = best
+    covered_red = frozenset(e for e in instance.red if universe.index[e] & covered)
+    return CoverSelection(chosen=chosen, cost=cost, covered_red=covered_red)
 
 
-def solve_pnpsc_approx(instance: PnpscInstance,
-                       config: Optional[GreedyConfig] = None) -> CoverSelection:
+def solve_pnpsc_approx(instance: PnpscInstance) -> CoverSelection:
     """Reduce to red-blue, run the greedy, drop skip sets, recost on the original."""
-    rbsc = pnpsc_to_rbsc(instance)
-    cover = solve_rbsc_greedy(rbsc, config)
+    cover = solve_rbsc_greedy(pnpsc_to_rbsc(instance))
     original = {label for label, _ in instance.sets}
-    chosen = tuple(sorted(label for label in cover.chosen if label in original))
-    union = set()
-    members_by_label = dict(instance.sets)
-    for label in chosen:
-        union |= members_by_label[label]
-    uncovered = frozenset(instance.positive - union)
-    covered_neg = frozenset(instance.negative & union)
-    return CoverSelection(
-        chosen=chosen,
-        cost=len(uncovered) + len(covered_neg),
-        covered_blue=frozenset(instance.positive & union),
-        uncovered_positive=uncovered,
-        covered_negative=covered_neg,
-    )
-
-
-def map_back(cover: CoverSelection, back_map: dict) -> Selection:
-    """Chosen labels back to rule names; synthetic skip labels are dropped."""
-    names = []
-    for label in cover.chosen:
-        if label not in back_map:
-            raise LookupError(f"label {label!r} has no back-mapping")
-        origin = back_map[label]
-        if origin is not None:
-            names.append(origin)
-    return frozenset(names)
+    chosen = tuple(label for label in cover.chosen if label in original)
+    return CoverSelection(chosen=chosen, cost=instance.cost(chosen))
 
 
 def greedy_fp_bound(n_rules: int, truth_size: int) -> float:

@@ -17,7 +17,6 @@ from .model import (
     BuiltinAtom,
     DataExample,
     ErrorReport,
-    EvalLimits,
     EvaluationError,
     Fact,
     Instance,
@@ -84,20 +83,6 @@ BUILTINS: dict = {
 }
 
 
-def _check_limits(rules: Iterable[Rule], limits: Optional[EvalLimits]):
-    if limits is None:
-        return
-    for r in rules:
-        if len(r.premise) > limits.max_premise_atoms:
-            raise ValidationError(
-                f"rule {r.name}: premise has {len(r.premise)} atoms, "
-                f"limit {limits.max_premise_atoms}")
-        if len(r.head.terms) > limits.max_conclusion_arity:
-            raise ValidationError(
-                f"rule {r.name}: conclusion arity {len(r.head.terms)} exceeds "
-                f"limit {limits.max_conclusion_arity}")
-
-
 def _eval_builtin(atom: BuiltinAtom, binding: dict) -> bool:
     vals = tuple(binding[t.var] if t.is_var else t.const for t in atom.terms)
     return BUILTINS[atom.name].predicate(vals, atom.threshold)
@@ -114,7 +99,7 @@ def _pick_next_atom(remaining, bound, premise: Instance):
     return best[1], best[2]
 
 
-def eval_rule(rule: Rule, premise: Instance, limits: Optional[EvalLimits] = None) -> frozenset:
+def eval_rule(rule: Rule, premise: Instance) -> frozenset:
     """All conclusion facts derivable from the premise instance via this rule.
 
     Join order is greedy: at each step the unprocessed relational atom with
@@ -122,7 +107,6 @@ def eval_rule(rule: Rule, premise: Instance, limits: Optional[EvalLimits] = None
     then premise order), via the premise's shared index on its bound
     positions.  Builtins are applied as soon as all their variables are bound.
     """
-    _check_limits([rule], limits)
     unsafe = rule.unsafe_variables()
     if unsafe:
         shown = ", ".join(display_var(v) for v in unsafe)
@@ -201,12 +185,10 @@ class EvalCache:
 
     __slots__ = ("rules", "premise", "per_rule", "union")
 
-    def __init__(self, rules: RuleSet, premise: Instance,
-                 limits: Optional[EvalLimits] = None):
-        _check_limits(rules.rules, limits)
+    def __init__(self, rules: RuleSet, premise: Instance):
         self.rules = rules
         self.premise = premise
-        self.per_rule = {r.name: eval_rule(r, premise, limits) for r in rules.rules}
+        self.per_rule = {r.name: eval_rule(r, premise) for r in rules.rules}
         self.union = frozenset().union(*self.per_rule.values()) if self.per_rule else frozenset()
 
     def matches(self, rules: RuleSet, premise: Instance) -> bool:
@@ -219,29 +201,26 @@ class EvalCache:
         return frozenset().union(*(self.per_rule[name] for name in selection))
 
 
-def _cache_for(rules: RuleSet, premise: Instance, cache: Optional[EvalCache],
-               limits: Optional[EvalLimits] = None) -> EvalCache:
+def _cache_for(rules: RuleSet, premise: Instance, cache: Optional[EvalCache]) -> EvalCache:
     if cache is None:
-        return EvalCache(rules, premise, limits)
+        return EvalCache(rules, premise)
     if not cache.matches(rules, premise):
         raise ValidationError("evaluation cache belongs to a different rule set or instance")
     return cache
 
 
 def eval_ruleset(rules: RuleSet, selection: Iterable[str], premise: Instance,
-                 cache: Optional[EvalCache] = None,
-                 limits: Optional[EvalLimits] = None) -> frozenset:
+                 cache: Optional[EvalCache] = None) -> frozenset:
     """Union of per-rule outputs over the chosen rules."""
     sel = check_selection(rules, selection)
-    cache = _cache_for(rules, premise, cache, limits)
+    cache = _cache_for(rules, premise, cache)
     return cache.eval_selection(sel)
 
 
 def compute_errors(rules: RuleSet, selection: Iterable[str], example: DataExample,
-                   cache: Optional[EvalCache] = None,
-                   limits: Optional[EvalLimits] = None) -> ErrorReport:
+                   cache: Optional[EvalCache] = None) -> ErrorReport:
     """FP = produced facts absent from the truth; FN = truth facts not produced."""
-    produced = eval_ruleset(rules, selection, example.premise, cache, limits)
+    produced = eval_ruleset(rules, selection, example.premise, cache)
     truth = example.truth.facts
     return ErrorReport(fp=produced - truth, fn=truth - produced)
 

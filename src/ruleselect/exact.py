@@ -29,7 +29,6 @@ from .model import (
     rule_size,
     ruleset_size,
 )
-from .parser import instance_digest
 
 OBJECTIVES = ("fp", "fpfn")
 
@@ -51,7 +50,6 @@ class FrontResult:
     """Pareto-optimal (error, size) points, sorted by ascending error."""
 
     points: tuple
-    digest: str
 
 
 @dataclass(frozen=True)
@@ -77,8 +75,9 @@ def _prepare(rules: RuleSet, example: DataExample, config: ExactConfig,
         if not feas.ok:
             raise InfeasibleError(feas.missing)
     universe = PackedUniverse(cache.union | example.truth.facts)
-    rule_masks = universe.pack_rows([cache.per_rule[r.name] for r in rules.rules])
-    j_mask = universe.pack(example.truth.facts)
+    rows = universe.pack_rows([cache.per_rule[r.name] for r in rules.rules])
+    rule_masks = _kernels.as_words(rows, universe.n_words)
+    j_mask = _kernels.as_words([universe.pack(example.truth.facts)], universe.n_words)[0]
     return cache, rule_masks, j_mask
 
 
@@ -150,25 +149,29 @@ def pareto_front(rules: RuleSet, example: DataExample,
                 error=e, size=s,
                 witness=_mask_to_selection(rules, int(witness[s]))))
     points.sort(key=lambda p: p.error)
-    return FrontResult(points=tuple(points), digest=instance_digest(rules, example))
+    return FrontResult(points=tuple(points))
+
+
+def _candidate_point(rules: RuleSet, example: DataExample, candidate,
+                     config: Optional[ExactConfig], cache: Optional[EvalCache]):
+    """The candidate's (error, size), or None when FP mode rules it out (FN > 0)."""
+    sel = check_selection(rules, candidate)
+    report = compute_errors(rules, sel, example, cache)
+    if (config or ExactConfig()).objective == "fp":
+        if report.fn_count != 0:
+            return None
+        err = report.fp_count
+    else:
+        err = report.total
+    return err, ruleset_size(sel, rules)
 
 
 def is_pareto_optimal(rules: RuleSet, example: DataExample, candidate,
                       config: Optional[ExactConfig] = None,
                       cache: Optional[EvalCache] = None) -> bool:
     """Is the candidate selection strictly dominated by no other selection?"""
-    config = config or ExactConfig()
-    sel = check_selection(rules, candidate)
-    report = compute_errors(rules, sel, example, cache)
-    if config.objective == "fp":
-        if report.fn_count != 0:
-            return False
-        err = report.fp_count
-    else:
-        err = report.total
-    size = ruleset_size(sel, rules)
-    front = pareto_front(rules, example, config, cache)
-    return any(p.error == err and p.size == size for p in front.points)
+    point = _candidate_point(rules, example, candidate, config, cache)
+    return point is not None and pareto_membership(rules, example, *point, config, cache)
 
 
 def pareto_membership(rules: RuleSet, example: DataExample, error: int, size: int,
@@ -192,14 +195,8 @@ def is_bilevel_optimal(rules: RuleSet, example: DataExample, candidate,
                        config: Optional[ExactConfig] = None,
                        cache: Optional[EvalCache] = None) -> bool:
     """Does the candidate attain the bi-level optimal (error, size) pair?"""
-    config = config or ExactConfig()
-    sel = check_selection(rules, candidate)
-    report = compute_errors(rules, sel, example, cache)
-    if config.objective == "fp":
-        if report.fn_count != 0:
-            return False
-        err = report.fp_count
-    else:
-        err = report.total
+    point = _candidate_point(rules, example, candidate, config, cache)
+    if point is None:
+        return False
     opt = bilevel_optimum(rules, example, config, cache)
-    return err == opt.error and ruleset_size(sel, rules) == opt.size
+    return point == (opt.error, opt.size)

@@ -161,3 +161,70 @@ def brute_force_pnpsc_min(instance) -> int:
         if best is None or cost < best:
             best = cost
     return best
+
+
+def _reference_schedule(red_counts):
+    taus = {0, max(red_counts, default=0)}
+    t = 1
+    while t <= max(red_counts, default=0):
+        taus.add(t)
+        t *= 2
+    if len(set(red_counts)) <= 64:
+        taus.update(red_counts)
+    return sorted(taus)
+
+
+def _reference_pass(sets, red, blue):
+    covered = set()
+    chosen = []
+    available = dict(sets)
+    while not blue <= covered:
+        best_key = best_label = None
+        for label, members in available.items():
+            fresh = members - covered
+            nb = len(fresh & blue)
+            if nb == 0:
+                continue
+            nr = len(fresh & red)
+            key = (0, Fraction(0), -nb, label) if nr == 0 else (1, Fraction(nr, nb), -nb, label)
+            if best_key is None or key < best_key:
+                best_key, best_label = key, label
+        chosen.append(best_label)
+        covered |= available.pop(best_label)
+    return chosen, covered
+
+
+def reference_rbsc_greedy(red, blue, sets):
+    """(chosen, cost, covered_red) of the threshold-sweep greedy on frozensets.
+
+    The set-of-strings implementation the bitset greedy replaced: thresholds
+    0, the largest red count, the powers of two below it and (with at most 64
+    distinct counts) every count; per threshold a greedy pass ranking sets by
+    exact `Fraction` new-red/new-blue ratio, zero-red sets first, then most new
+    blue, then label; the best pass by covered reds, set count, label list.
+    """
+    red_counts = [len(members & red) for _, members in sets]
+    best = None
+    for tau in _reference_schedule(red_counts):
+        eligible = [s for s, rc in zip(sets, red_counts) if rc <= tau]
+        if not blue <= set().union(*(members for _, members in eligible)):
+            continue
+        chosen, covered = _reference_pass(eligible, red, blue)
+        labels = tuple(sorted(chosen))
+        key = (len(covered & red), len(labels), labels)
+        if best is None or key < best[0]:
+            best = (key, labels, covered)
+    _, labels, covered = best
+    return labels, len(covered & red), frozenset(covered & red)
+
+
+def reference_pnpsc_approx(positive, negative, sets):
+    """(chosen, cost): one skip set {p, marker} per positive, the reference
+    greedy, skip labels dropped, cost recomputed on the original system."""
+    skips = tuple((f"skip({p})", frozenset({p, f"skip:{p}"})) for p in sorted(positive))
+    red = frozenset(negative) | {f"skip:{p}" for p in positive}
+    labels, _, _ = reference_rbsc_greedy(red, frozenset(positive), tuple(sets) + skips)
+    original = {label for label, _ in sets}
+    chosen = tuple(label for label in labels if label in original)
+    union = set().union(*(members for label, members in sets if label in chosen))
+    return chosen, len(positive - union) + len(negative & union)

@@ -21,7 +21,6 @@ from ruleselect import (
     greedy_fp_bound,
     greedy_fpfn_bound,
     instance_digest,
-    map_back,
     pareto_front,
     pareto_membership,
     parse_facts,
@@ -106,7 +105,7 @@ def test_criterion_02_greedy_fp_within_bound():
         assert truth_size <= 40
         opt, _ = solve_exact(rules, example, FP, cache)
         cover = solve_rbsc_greedy(build_rbsc(rules, example, cache))
-        selection = map_back(cover, {r.name: r.name for r in rules.rules})
+        selection = frozenset(cover.chosen)
         rep = compute_errors(rules, selection, example, cache)
         assert rep.fn_count == 0
         bound = greedy_fp_bound(len(rules), truth_size)
@@ -130,7 +129,7 @@ def test_criterion_03_greedy_fpfn_within_bound():
         assert truth_size <= 40
         opt, _ = solve_exact(rules, example, FPFN, cache)
         cover = solve_pnpsc_approx(build_pnpsc(rules, example, cache))
-        selection = map_back(cover, {r.name: r.name for r in rules.rules})
+        selection = frozenset(cover.chosen)
         rep = compute_errors(rules, selection, example, cache)
         assert rep.total == cover.cost
         bound = greedy_fpfn_bound(len(rules), truth_size)

@@ -99,11 +99,23 @@ def test_check_feasible(capsys, f1_files, tmp_path):
     assert code == 0 and out["feasible"] is True and out["missing"] == []
 
 
-def test_exit_code_usage(capsys):
+def test_exit_code_usage(capsys, f1_files):
     code, _, err = run(capsys, ["select", "--objective", "fpfn"])
     assert code == 1 and err["error"]["code"] == "usage"
     code, _, err = run(capsys, [])
     assert code == 1
+    # only the enumerating commands take an enumeration cap
+    for command in ("eval", "check-feasible"):
+        code, out, err = run(capsys, [command, "--max-rules", "5"] + f1_files)
+        assert code == 1 and out is None and err["error"]["code"] == "usage"
+
+
+def test_max_rules_must_be_positive(capsys, f1_files):
+    for value in ("0", "-1"):
+        for command in (["select", "--objective", "fpfn", "--method", "exact"], ["pareto"]):
+            code, out, err = run(capsys, command + ["--max-rules", value] + f1_files)
+            assert code == 1 and out is None, (command, value)
+            assert err["error"]["message"] == "max_rules must be positive"
 
 
 def test_exit_code_parse_error(capsys, f1_files, tmp_path):
@@ -224,6 +236,7 @@ from ruleselect.cli import main
 files = {f1_files!r}
 for argv in (["eval"] + files, ["check-feasible"] + files,
              ["select", "--objective", "fpfn", "--method", "greedy"] + files,
+             ["select", "--objective", "fp", "--method", "greedy"] + files,
              ["gen", "thm1", "--out", {str(tmp_path / "gen")!r}]):
     assert main(argv) == 0, argv
 assert "numpy" not in sys.modules, "numpy imported"

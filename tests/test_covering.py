@@ -13,7 +13,6 @@ from ruleselect import (
     build_rbsc,
     compute_errors,
     fact,
-    map_back,
     parse_facts,
     parse_rules,
     pnpsc_to_rbsc,
@@ -23,7 +22,13 @@ from ruleselect import (
 from ruleselect.covering import fact_id
 from ruleselect.generators import GenSeed, gen_random_ruleselect
 
-from oracles import brute_force_pnpsc_min, brute_force_rbsc_min, subsets_canonical
+from oracles import (
+    brute_force_pnpsc_min,
+    brute_force_rbsc_min,
+    reference_pnpsc_approx,
+    reference_rbsc_greedy,
+    subsets_canonical,
+)
 
 
 def bid(name):  # element id of a unary B fact
@@ -40,7 +45,6 @@ def test_build_rbsc_f1(f1):
         "r2": {bid("u2"), bid("u3"), bid("a2")},
         "r3": {bid("u3"), bid("a3")},
     }
-    assert inst.back_map == {"r1": "r1", "r2": "r2", "r3": "r3"}
 
 
 def test_build_rbsc_no_reds_when_truth_covers_eval(f1):
@@ -98,12 +102,11 @@ def test_pnpsc_to_rbsc_f1(f1):
     labels = [label for label, _ in aug.sets]
     assert labels[:3] == ["r1", "r2", "r3"]
     assert all(label.startswith("skip(") for label in labels[3:])
-    assert all(aug.back_map[label] is None for label in labels[3:])
 
 
 def test_pnpsc_to_rbsc_no_positives():
     inst = PnpscInstance(positive=frozenset(), negative=frozenset({"n"}),
-                         sets=(("s", frozenset({"n"})),), back_map={"s": "s"})
+                         sets=(("s", frozenset({"n"})),))
     aug = pnpsc_to_rbsc(inst)
     assert aug.sets == inst.sets
     assert aug.red == inst.negative
@@ -142,29 +145,19 @@ def test_greedy_threshold_sweep_shields_heavy_sets():
     assert cover.chosen == ("light",) and cover.cost == 1
 
 
-def test_threshold_schedule_policies():
-    from ruleselect.covering import GreedyConfig, _threshold_schedule
+def test_thresholds_are_the_red_counts_the_sweep_needs():
+    from ruleselect.covering import _thresholds
 
-    counts = [3, 5, 12]
-    assert _threshold_schedule(counts, "powers-of-two") == [0, 1, 2, 4, 8, 12]
-    assert _threshold_schedule(counts, "exact-counts") == [0, 3, 5, 12]
-    assert _threshold_schedule(counts, "both") == [0, 1, 2, 3, 4, 5, 8, 12]
-    assert _threshold_schedule([], "both") == [0]
-    # >64 distinct counts: "both" falls back to powers (plus 0 and max)
+    assert _thresholds([12, 3, 5, 3]) == [3, 5, 12]
+    assert _thresholds([]) == [0]
+    assert _thresholds([0, 0]) == [0]
+    assert _thresholds(list(range(64))) == list(range(64))
+    # >64 distinct counts: the counts that 0, the maximum and 1, 2, 4, ... reach
+    assert _thresholds(list(range(65))) == [0, 1, 2, 4, 8, 16, 32, 64]
     many = list(range(1, 70))
-    assert _threshold_schedule(many, "both") == [0, 1, 2, 4, 8, 16, 32, 64, 69]
-    with pytest.raises(Exception):
-        GreedyConfig(schedule="fibonacci")
-
-
-def test_greedy_same_result_across_policies(f1):
-    from ruleselect.covering import GreedyConfig
-
-    rules, example = f1
-    inst = build_rbsc(rules, example)
-    results = {solve_rbsc_greedy(inst, GreedyConfig(schedule=s)).chosen
-               for s in ("powers-of-two", "exact-counts", "both")}
-    assert results == {("r1", "r2")}
+    assert _thresholds(many) == [1, 2, 4, 8, 16, 32, 64, 69]
+    sparse = [3 * k + 5 for k in range(70)]  # 5, 8, ..., 212
+    assert _thresholds(sparse) == [8, 14, 32, 62, 128, 212]  # 0, 1, 2, 4 admit no set
 
 
 def test_greedy_uncoverable_blue_raises():
@@ -179,8 +172,7 @@ def test_greedy_deterministic_under_permutation(f1):
     inst = build_rbsc(rules, example)
     for perm in ((2, 1, 0), (1, 2, 0), (0, 2, 1)):
         shuffled = RbscInstance(red=inst.red, blue=inst.blue,
-                                sets=tuple(inst.sets[i] for i in perm),
-                                back_map=inst.back_map)
+                                sets=tuple(inst.sets[i] for i in perm))
         assert solve_rbsc_greedy(shuffled) == solve_rbsc_greedy(inst)
 
 
@@ -203,19 +195,6 @@ def test_pnpsc_approx_skip_beats_costly_cover():
         sets=(("s", frozenset({"p", "n1", "n2", "n3"})),))
     cover = solve_pnpsc_approx(inst)
     assert cover.chosen == () and cover.cost == 1
-
-
-def test_map_back(f1):
-    rules, example = f1
-    pn = build_pnpsc(rules, example)
-    aug = pnpsc_to_rbsc(pn)
-    cover = solve_rbsc_greedy(aug)
-    assert map_back(cover, aug.back_map) == {"r1", "r2"}
-    from ruleselect.covering import CoverSelection
-
-    assert map_back(CoverSelection(chosen=(), cost=0), aug.back_map) == frozenset()
-    with pytest.raises(LookupError):
-        map_back(CoverSelection(chosen=("ghost",), cost=0), aug.back_map)
 
 
 @given(st.integers(min_value=0, max_value=10**6))
@@ -281,3 +260,45 @@ def test_greedy_feasible_and_bounded_by_brute_force(seed):
     assert inst.blue <= union
     assert cover.cost == len(union & inst.red)
     assert cover.cost >= brute_force_rbsc_min(inst)
+
+
+# Labels that sort next to, before and after the skip labels skip(p0)..skip(p9).
+_NEAR_SKIP = ("skip", "skip(", "skip(p", "skip(p0", "skip(p0)0", "skip(p00)", "skip(p1)a",
+              "skip((", "skip)", "skip(o)", "skip(q)", "skio", "skiq", "sk", "r1", "r10", "r2")
+
+
+def _random_system(seed):
+    """Reds n*, blues p* and uniquely labelled sets over them; one draw in four
+    has more than 64 distinct red counts."""
+    import random
+
+    rng = random.Random(seed)
+    blues = [f"p{i}" for i in range(rng.randrange(10))]
+    if rng.random() < 0.25:
+        reds = [f"n{i}" for i in range(rng.randrange(70, 80))]
+        counts = rng.sample(range(len(reds) + 1), rng.randrange(65, 71))
+    else:
+        reds = [f"n{i}" for i in range(rng.randrange(0, 10))]
+        counts = [sum(rng.random() < 0.4 for _ in reds) for _ in range(rng.randrange(0, 9))]
+    pool = list(_NEAR_SKIP) + [f"s{i}" for i in range(len(counts))]
+    labels = rng.sample(pool, len(counts))
+    sets = tuple((label, frozenset(rng.sample(reds, c)) | {b for b in blues if rng.random() < 0.4})
+                 for label, c in zip(labels, counts))
+    return frozenset(reds), frozenset(blues), sets
+
+
+@given(st.integers(min_value=0, max_value=10**9))
+@settings(max_examples=300)
+def test_greedy_matches_reference_greedy(seed):
+    red, blue, sets = _random_system(seed)
+    union = set().union(*(members for _, members in sets))
+    if blue <= union:
+        cover = solve_rbsc_greedy(RbscInstance(red=red, blue=blue, sets=sets))
+        assert (cover.chosen, cover.cost, cover.covered_red) == \
+            reference_rbsc_greedy(red, blue, sets)
+    else:
+        with pytest.raises(CoverageError):
+            solve_rbsc_greedy(RbscInstance(red=red, blue=blue, sets=sets))
+    cover = solve_pnpsc_approx(PnpscInstance(positive=blue, negative=red, sets=sets))
+    assert (cover.chosen, cover.cost, cover.covered_red) == \
+        (*reference_pnpsc_approx(blue, red, sets), frozenset())

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from ruleselect import (
     DataExample,
     EvalCache,
-    EvalLimits,
     EvaluationError,
     Instance,
     ValidationError,
@@ -53,14 +52,6 @@ def test_eval_rule_unknown_relation(f1):
     rules, _ = f1
     with pytest.raises(EvaluationError):
         eval_rule(rules.rule("r1"), Instance({"Other": 1}, ()))
-
-
-def test_eval_rule_respects_limits(f1):
-    rules, example = f1
-    eval_rule(rules.rule("r1"), example.premise, EvalLimits(1, 1))
-    wide = parse_rules('rule w: E(x,z), E(z,y) -> F(x,y).')
-    with pytest.raises(ValidationError):
-        eval_rule(wide.rule("w"), parse_facts('E(1, 2)'), EvalLimits(1, 1))
 
 
 def test_eval_ruleset_unions(f1):

@@ -94,6 +94,16 @@ def test_validate_accepts_f1_within_limits(f1):
     assert validate(rules, EvalLimits(1, 1)).ok
 
 
+def test_validate_reports_both_limits_of_a_wide_rule():
+    wide = parse_rules('rule w: E(x,z), E(z,y) -> F(x,y).')
+    report = validate(wide, EvalLimits(1, 1))
+    assert [(v.rule, v.reason) for v in report.violations] == [
+        ("w", "premise has 2 atoms, limit 1"),
+        ("w", "conclusion arity 2 exceeds limit 1"),
+    ]
+    assert validate(wide, EvalLimits(2, 2)).ok
+
+
 def test_validate_rejects_unsafe_rule():
     rule = Rule("bad", (RelationalAtom("S", (var("x"),)),),
                 RelationalAtom("B", (var("y"),)))
