@@ -23,6 +23,7 @@ from .evaluation import (
     compute_errors,
     eval_rule,
     eval_ruleset,
+    evaluated,
     jaccard,
 )
 from .generators import (

@@ -4,6 +4,8 @@ Each element of a fixed universe owns one bit of a Python `int`, so a set of
 elements packs into one int, unions are `|`, and sizes are `bit_count()`.
 Bit positions follow set iteration order: every result the solvers report
 depends only on counts and unions, never on which bit an element holds.
+Packing and unpacking go through a little-endian byte buffer of `n_words`
+64-bit words, so both take time and memory linear in the universe size.
 """
 from __future__ import annotations
 
@@ -11,20 +13,26 @@ from typing import Hashable, Iterable
 
 
 class PackedUniverse:
-    """Fixed element universe; `index[e]` is the one-bit mask of element `e`."""
+    """Fixed element universe; `index[e]` is the bit position of element `e`."""
 
     __slots__ = ("facts", "index", "n_words")
 
     def __init__(self, elements: Iterable[Hashable]):
         self.facts = tuple(set(elements))
-        self.index = {e: 1 << i for i, e in enumerate(self.facts)}
+        self.index = {e: i for i, e in enumerate(self.facts)}
         self.n_words = max(1, -(-len(self.facts) // 64))
 
     def pack(self, elements: Iterable[Hashable]) -> int:
-        mask = 0
+        buf = bytearray(self.n_words * 8)
         for e in elements:
-            mask |= self.index[e]
-        return mask
+            i = self.index[e]
+            buf[i >> 3] |= 1 << (i & 7)
+        return int.from_bytes(buf, "little")
 
     def pack_rows(self, element_sets) -> list:
         return [self.pack(es) for es in element_sets]
+
+    def unpack(self, mask: int) -> frozenset:
+        """The elements whose bits are set in `mask`."""
+        buf = mask.to_bytes(self.n_words * 8, "little")
+        return frozenset(e for i, e in enumerate(self.facts) if buf[i >> 3] >> (i & 7) & 1)

@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import covering, generators
-from .evaluation import EvalCache, check_fp_feasible, compute_errors
+from .evaluation import check_fp_feasible, compute_errors
 from .model import (
     CapacityError,
     CoverageError,
@@ -143,9 +143,8 @@ def _exact_config(args):
     return ExactConfig(**kwargs)
 
 
-def _selection_report(rules: RuleSet, example: DataExample, selection,
-                      cache: EvalCache):
-    report = compute_errors(rules, selection, example, cache)
+def _selection_report(rules: RuleSet, example: DataExample, selection):
+    report = compute_errors(rules, selection, example)
     body = {
         "selected_rules": sorted(selection),
         "fp_count": report.fp_count,
@@ -161,30 +160,29 @@ def _cmd_eval(args) -> dict:
         names = check_selection(rules, (s for s in args.select.split(",") if s))
         rules = RuleSet([r for r in rules.rules if r.name in names],
                         rules.premise_schema, rules.conclusion_schema)
-    cache = EvalCache(rules, example.premise)
-    body, total = _selection_report(rules, example, frozenset(rules.names()), cache)
+    body, total = _selection_report(rules, example, frozenset(rules.names()))
     return {"command": "eval", **body, "error": total}
 
 
 def _cmd_select(args) -> dict:
+    if args.method != "exact" and args.max_rules is not None:
+        raise UsageError("--max-rules applies only to --method exact")
     rules, example = _load(args)
-    cache = EvalCache(rules, example.premise)
     if args.method == "exact":
         from . import exact
 
-        err, selection = exact.solve_exact(
-            rules, example, _exact_config(args), cache)
-        body, _ = _selection_report(rules, example, selection, cache)
+        err, selection = exact.solve_exact(rules, example, _exact_config(args))
+        body, _ = _selection_report(rules, example, selection)
         return {"command": "select", "objective": args.objective, "method": "exact",
                 **body, "error": err, "optimal": True}
     if args.objective == "fp":
-        cover = covering.solve_rbsc_greedy(covering.build_rbsc(rules, example, cache))
+        cover = covering.solve_rbsc_greedy(covering.build_rbsc(rules, example))
         bound = covering.greedy_fp_bound(len(rules), len(example.truth.facts))
     else:
-        cover = covering.solve_pnpsc_approx(covering.build_pnpsc(rules, example, cache))
+        cover = covering.solve_pnpsc_approx(covering.build_pnpsc(rules, example))
         bound = covering.greedy_fpfn_bound(len(rules), len(example.truth.facts))
     selection = frozenset(cover.chosen)
-    body, total = _selection_report(rules, example, selection, cache)
+    body, total = _selection_report(rules, example, selection)
     err = body["fp_count"] if args.objective == "fp" else total
     return {"command": "select", "objective": args.objective, "method": "greedy",
             **body, "error": err, "bound_value": round(bound, 4)}
@@ -203,9 +201,8 @@ def _cmd_bilevel(args) -> dict:
     from . import exact
 
     rules, example = _load(args)
-    cache = EvalCache(rules, example.premise)
-    result = exact.bilevel_optimum(rules, example, _exact_config(args), cache)
-    body, _ = _selection_report(rules, example, result.witness, cache)
+    result = exact.bilevel_optimum(rules, example, _exact_config(args))
+    body, _ = _selection_report(rules, example, result.witness)
     return {"command": "bilevel", "objective": args.objective, **body,
             "error": result.error, "size": result.size, "optimal": True}
 

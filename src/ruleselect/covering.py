@@ -13,10 +13,10 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 from ._bitset import PackedUniverse
-from .evaluation import EvalCache, _cache_for, check_fp_feasible
+from .evaluation import check_fp_feasible, evaluated
 from .model import (
     CoverageError,
     DataExample,
@@ -86,39 +86,36 @@ def fact_id(f) -> str:
     return format_fact(f)
 
 
-def _fact_sets(rules: RuleSet, example: DataExample, cache: EvalCache):
+def _fact_sets(rules: RuleSet, example: DataExample):
     """Truth ids, spurious derivable ids, and one (rule name, ids) set per rule.
 
     Sets are deliberately not deduplicated across rules with equal output, so
     labels stay in one-to-one correspondence with rules.
     """
     truth = example.truth.facts
+    cache = evaluated(rules, example.premise)
     sets = tuple((r.name, frozenset(fact_id(f) for f in cache.per_rule[r.name]))
                  for r in rules.rules)
     return (frozenset(fact_id(f) for f in truth),
             frozenset(fact_id(f) for f in cache.union - truth), sets)
 
 
-def build_rbsc(rules: RuleSet, example: DataExample,
-               cache: Optional[EvalCache] = None) -> RbscInstance:
+def build_rbsc(rules: RuleSet, example: DataExample) -> RbscInstance:
     """Truth facts become blue, spurious derivable facts red, one set per rule."""
-    cache = _cache_for(rules, example.premise, cache)
-    feas = check_fp_feasible(rules, example, cache)
+    feas = check_fp_feasible(rules, example)
     if not feas.ok:
         raise InfeasibleError(feas.missing)
-    blue, red, sets = _fact_sets(rules, example, cache)
+    blue, red, sets = _fact_sets(rules, example)
     return RbscInstance(red=red, blue=blue, sets=sets)
 
 
-def build_pnpsc(rules: RuleSet, example: DataExample,
-                cache: Optional[EvalCache] = None) -> PnpscInstance:
+def build_pnpsc(rules: RuleSet, example: DataExample) -> PnpscInstance:
     """Truth facts become positive, spurious derivable facts negative.
 
     No coverage requirement: truth facts no rule can derive simply stay
     uncovered and cost one each.
     """
-    cache = _cache_for(rules, example.premise, cache)
-    positive, negative, sets = _fact_sets(rules, example, cache)
+    positive, negative, sets = _fact_sets(rules, example)
     return PnpscInstance(positive=positive, negative=negative, sets=sets)
 
 
@@ -214,10 +211,10 @@ def solve_rbsc_greedy(instance: RbscInstance) -> CoverSelection:
         if best is None or key < best[0]:
             best = (key, covered)
     if best is None:  # the last threshold admits every set
-        missing = min(e for e in instance.blue if not universe.index[e] & reach)
+        missing = min(instance.blue - universe.unpack(reach))
         raise CoverageError(f"blue element {missing!r} is in no set")
     (cost, _, chosen), covered = best
-    covered_red = frozenset(e for e in instance.red if universe.index[e] & covered)
+    covered_red = instance.red & universe.unpack(covered)
     return CoverSelection(chosen=chosen, cost=cost, covered_red=covered_red)
 
 

@@ -3,7 +3,9 @@
 Evaluating a rule enumerates all variable assignments under which every
 relational premise atom maps to a stored fact and every builtin atom holds,
 then instantiates the conclusion.  Relational atoms bind variables; builtins
-only filter.
+only filter.  A rule list is evaluated once per premise: `evaluated` memoizes
+its per-rule outputs on the premise `Instance`, and every function here and in
+the solvers reads them from there.
 """
 from __future__ import annotations
 
@@ -11,7 +13,7 @@ import re
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from typing import Callable, Iterable, Optional
+from typing import Iterable
 
 from .model import (
     BuiltinAtom,
@@ -54,38 +56,22 @@ def jaccard(x: Value, y: Value) -> Fraction:
     return Fraction(len(a & b), len(a | b))
 
 
-def _value_cmp_geq(a: Value, b: Value) -> bool:
-    # Numbers compare numerically, texts lexicographically; cross-kind is false.
-    if a.is_text != b.is_text:
-        return False
-    return a.data >= b.data
-
-
-def _value_cmp_leq(a: Value, b: Value) -> bool:
-    if a.is_text != b.is_text:
-        return False
-    return a.data <= b.data
-
-
-@dataclass(frozen=True)
-class Builtin:
-    name: str
-    predicate: Callable
-
-
-#: All builtin predicates are pure, deterministic, and total on Values.
+#: Builtin name -> predicate; all are pure, deterministic, and total on Values.
+#: geq/leq compare numbers numerically, texts lexicographically; cross-kind is false.
 BUILTINS: dict = {
-    "neq": Builtin("neq", lambda vals, thr: vals[0] != vals[1]),
-    "eq": Builtin("eq", lambda vals, thr: vals[0] == vals[1]),
-    "jaccard_geq": Builtin("jaccard_geq", lambda vals, thr: jaccard(vals[0], vals[1]) >= thr),
-    "geq": Builtin("geq", lambda vals, thr: _value_cmp_geq(vals[0], vals[1])),
-    "leq": Builtin("leq", lambda vals, thr: _value_cmp_leq(vals[0], vals[1])),
+    "neq": lambda vals, thr: vals[0] != vals[1],
+    "eq": lambda vals, thr: vals[0] == vals[1],
+    "jaccard_geq": lambda vals, thr: jaccard(vals[0], vals[1]) >= thr,
+    "geq": lambda vals, thr: (vals[0].is_text == vals[1].is_text
+                              and vals[0].data >= vals[1].data),
+    "leq": lambda vals, thr: (vals[0].is_text == vals[1].is_text
+                              and vals[0].data <= vals[1].data),
 }
 
 
 def _eval_builtin(atom: BuiltinAtom, binding: dict) -> bool:
     vals = tuple(binding[t.var] if t.is_var else t.const for t in atom.terms)
-    return BUILTINS[atom.name].predicate(vals, atom.threshold)
+    return BUILTINS[atom.name](vals, atom.threshold)
 
 
 def _pick_next_atom(remaining, bound, premise: Instance):
@@ -178,22 +164,17 @@ def eval_rule(rule: Rule, premise: Instance) -> frozenset:
 
 
 class EvalCache:
-    """Per-rule evaluation results for one (RuleSet, Instance) pair.
+    """Per-rule evaluation results of one rule list on one premise instance.
 
-    Built once, then read-only; selection queries cost only set unions.
+    Built once, then read-only; selection queries cost only set unions.  Get
+    one through `evaluated`, which shares one per premise and rule list.
     """
 
-    __slots__ = ("rules", "premise", "per_rule", "union")
+    __slots__ = ("per_rule", "union")
 
     def __init__(self, rules: RuleSet, premise: Instance):
-        self.rules = rules
-        self.premise = premise
         self.per_rule = {r.name: eval_rule(r, premise) for r in rules.rules}
         self.union = frozenset().union(*self.per_rule.values()) if self.per_rule else frozenset()
-
-    def matches(self, rules: RuleSet, premise: Instance) -> bool:
-        return (self.rules is rules or self.rules == rules) and \
-               (self.premise is premise or self.premise == premise)
 
     def eval_selection(self, selection: Selection) -> frozenset:
         if not selection:
@@ -201,26 +182,24 @@ class EvalCache:
         return frozenset().union(*(self.per_rule[name] for name in selection))
 
 
-def _cache_for(rules: RuleSet, premise: Instance, cache: Optional[EvalCache]) -> EvalCache:
-    if cache is None:
-        return EvalCache(rules, premise)
-    if not cache.matches(rules, premise):
-        raise ValidationError("evaluation cache belongs to a different rule set or instance")
-    return cache
+def evaluated(rules: RuleSet, premise: Instance) -> EvalCache:
+    """The per-rule outputs of `rules` on `premise`, memoized on the premise.
+
+    Keyed by the rule tuple, so an equal rule list built anew shares them.
+    """
+    return premise.derived(rules.rules, lambda: EvalCache(rules, premise))
 
 
-def eval_ruleset(rules: RuleSet, selection: Iterable[str], premise: Instance,
-                 cache: Optional[EvalCache] = None) -> frozenset:
+def eval_ruleset(rules: RuleSet, selection: Iterable[str], premise: Instance) -> frozenset:
     """Union of per-rule outputs over the chosen rules."""
     sel = check_selection(rules, selection)
-    cache = _cache_for(rules, premise, cache)
-    return cache.eval_selection(sel)
+    return evaluated(rules, premise).eval_selection(sel)
 
 
-def compute_errors(rules: RuleSet, selection: Iterable[str], example: DataExample,
-                   cache: Optional[EvalCache] = None) -> ErrorReport:
+def compute_errors(rules: RuleSet, selection: Iterable[str],
+                   example: DataExample) -> ErrorReport:
     """FP = produced facts absent from the truth; FN = truth facts not produced."""
-    produced = eval_ruleset(rules, selection, example.premise, cache)
+    produced = eval_ruleset(rules, selection, example.premise)
     truth = example.truth.facts
     return ErrorReport(fp=produced - truth, fn=truth - produced)
 
@@ -231,9 +210,7 @@ class Feasibility:
     missing: frozenset
 
 
-def check_fp_feasible(rules: RuleSet, example: DataExample,
-                      cache: Optional[EvalCache] = None) -> Feasibility:
+def check_fp_feasible(rules: RuleSet, example: DataExample) -> Feasibility:
     """Whether the full rule set derives every truth fact (zero-FN is attainable)."""
-    cache = _cache_for(rules, example.premise, cache)
-    missing = example.truth.facts - cache.union
+    missing = example.truth.facts - evaluated(rules, example.premise).union
     return Feasibility(ok=not missing, missing=missing)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import _kernels
 from ._bitset import PackedUniverse
-from .evaluation import EvalCache, _cache_for, check_fp_feasible, compute_errors
+from .evaluation import check_fp_feasible, compute_errors, evaluated
 from .model import (
     CapacityError,
     DataExample,
@@ -61,24 +61,23 @@ class BilevelResult:
     witness: Selection
 
 
-def _prepare(rules: RuleSet, example: DataExample, config: ExactConfig,
-             cache: Optional[EvalCache]):
+def _prepare(rules: RuleSet, example: DataExample, config: ExactConfig):
     if len(rules) > config.max_rules:
         raise CapacityError(
             f"{len(rules)} rules exceed the enumeration cap of {config.max_rules}")
     if len(rules) > _kernels.MAX_RULES:
         raise CapacityError(
             f"{len(rules)} rules exceed the {_kernels.MAX_RULES}-rule limit of subset masks")
-    cache = _cache_for(rules, example.premise, cache)
     if config.objective == "fp":
-        feas = check_fp_feasible(rules, example, cache)
+        feas = check_fp_feasible(rules, example)
         if not feas.ok:
             raise InfeasibleError(feas.missing)
+    cache = evaluated(rules, example.premise)
     universe = PackedUniverse(cache.union | example.truth.facts)
     rows = universe.pack_rows([cache.per_rule[r.name] for r in rules.rules])
     rule_masks = _kernels.as_words(rows, universe.n_words)
     j_mask = _kernels.as_words([universe.pack(example.truth.facts)], universe.n_words)[0]
-    return cache, rule_masks, j_mask
+    return rule_masks, j_mask
 
 
 def _mask_to_selection(rules: RuleSet, mask: int) -> Selection:
@@ -86,11 +85,10 @@ def _mask_to_selection(rules: RuleSet, mask: int) -> Selection:
 
 
 def solve_exact(rules: RuleSet, example: DataExample,
-                config: Optional[ExactConfig] = None,
-                cache: Optional[EvalCache] = None) -> tuple:
+                config: Optional[ExactConfig] = None) -> tuple:
     """Optimum error and its canonical witness selection."""
     config = config or ExactConfig()
-    cache, rule_masks, j_mask = _prepare(rules, example, config, cache)
+    rule_masks, j_mask = _prepare(rules, example, config)
     err, mask = _kernels.solve_exact_masks(
         rule_masks, j_mask, fp_only=config.objective == "fp")
     if mask < 0:
@@ -119,24 +117,22 @@ def _with_objective(config: Optional[ExactConfig], objective: str) -> ExactConfi
     return ExactConfig(max_rules=base.max_rules, objective=objective)
 
 
-def _size_profile(rules: RuleSet, example: DataExample, config: ExactConfig,
-                  cache: Optional[EvalCache]):
-    cache, rule_masks, j_mask = _prepare(rules, example, config, cache)
+def _size_profile(rules: RuleSet, example: DataExample, config: ExactConfig):
+    rule_masks, j_mask = _prepare(rules, example, config)
     sizes = np.array([rule_size(r) for r in rules.rules], dtype=np.int64)
     return _kernels.size_profile_masks(
         rule_masks, sizes, j_mask, fp_only=config.objective == "fp")
 
 
 def pareto_front(rules: RuleSet, example: DataExample,
-                 config: Optional[ExactConfig] = None,
-                 cache: Optional[EvalCache] = None) -> FrontResult:
+                 config: Optional[ExactConfig] = None) -> FrontResult:
     """All non-dominated (error, size) pairs with one canonical witness each.
 
     Size is the sum of premise-atom counts over the chosen rules.  In "fp"
     mode only zero-FN selections compete.
     """
     config = config or ExactConfig()
-    best_err, witness = _size_profile(rules, example, config, cache)
+    best_err, witness = _size_profile(rules, example, config)
     points = []
     best_so_far = None
     for s in range(len(best_err)):  # ascending size; keep strict error improvements
@@ -153,10 +149,10 @@ def pareto_front(rules: RuleSet, example: DataExample,
 
 
 def _candidate_point(rules: RuleSet, example: DataExample, candidate,
-                     config: Optional[ExactConfig], cache: Optional[EvalCache]):
+                     config: Optional[ExactConfig]):
     """The candidate's (error, size), or None when FP mode rules it out (FN > 0)."""
     sel = check_selection(rules, candidate)
-    report = compute_errors(rules, sel, example, cache)
+    report = compute_errors(rules, sel, example)
     if (config or ExactConfig()).objective == "fp":
         if report.fn_count != 0:
             return None
@@ -167,36 +163,32 @@ def _candidate_point(rules: RuleSet, example: DataExample, candidate,
 
 
 def is_pareto_optimal(rules: RuleSet, example: DataExample, candidate,
-                      config: Optional[ExactConfig] = None,
-                      cache: Optional[EvalCache] = None) -> bool:
+                      config: Optional[ExactConfig] = None) -> bool:
     """Is the candidate selection strictly dominated by no other selection?"""
-    point = _candidate_point(rules, example, candidate, config, cache)
-    return point is not None and pareto_membership(rules, example, *point, config, cache)
+    point = _candidate_point(rules, example, candidate, config)
+    return point is not None and pareto_membership(rules, example, *point, config)
 
 
 def pareto_membership(rules: RuleSet, example: DataExample, error: int, size: int,
-                      config: Optional[ExactConfig] = None,
-                      cache: Optional[EvalCache] = None) -> bool:
+                      config: Optional[ExactConfig] = None) -> bool:
     """Is (error, size) a point of the Pareto front?"""
-    front = pareto_front(rules, example, config, cache)
+    front = pareto_front(rules, example, config)
     return any(p.error == error and p.size == size for p in front.points)
 
 
 def bilevel_optimum(rules: RuleSet, example: DataExample,
-                    config: Optional[ExactConfig] = None,
-                    cache: Optional[EvalCache] = None) -> BilevelResult:
+                    config: Optional[ExactConfig] = None) -> BilevelResult:
     """Minimize error first, then size; the result is always a front point."""
-    front = pareto_front(rules, example, config, cache)
+    front = pareto_front(rules, example, config)
     best = front.points[0]  # ascending error; front errors are pairwise distinct
     return BilevelResult(error=best.error, size=best.size, witness=best.witness)
 
 
 def is_bilevel_optimal(rules: RuleSet, example: DataExample, candidate,
-                       config: Optional[ExactConfig] = None,
-                       cache: Optional[EvalCache] = None) -> bool:
+                       config: Optional[ExactConfig] = None) -> bool:
     """Does the candidate attain the bi-level optimal (error, size) pair?"""
-    point = _candidate_point(rules, example, candidate, config, cache)
+    point = _candidate_point(rules, example, candidate, config)
     if point is None:
         return False
-    opt = bilevel_optimum(rules, example, config, cache)
+    opt = bilevel_optimum(rules, example, config)
     return point == (opt.error, opt.size)

@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass
 from typing import Optional
 
-from .evaluation import EvalCache
+from .evaluation import evaluated
 from .model import (
     DataExample,
     Instance,
@@ -231,7 +231,7 @@ def gen_random_ruleselect(gs: GenSeed):
 
     ruleset = RuleSet(rules, schema, {"Out": 1})
     premise = Instance(schema, premise_facts)
-    derivable = EvalCache(ruleset, premise).union
+    derivable = evaluated(ruleset, premise).union
 
     truth_facts = []
     fresh = 0

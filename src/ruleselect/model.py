@@ -1,12 +1,14 @@
 """Core domain types: values, facts, instances, rule ASTs, selections, error reports.
 
-Everything here is immutable after construction and safe to share across threads.
+Everything here is immutable after construction and safe to share across threads;
+an `Instance` only memoizes values derived from its facts.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from decimal import Decimal
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from operator import attrgetter
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 
 
 class ValidationError(ValueError):
@@ -99,23 +101,31 @@ def fact(relation: str, *args) -> Fact:
     return Fact(relation, tuple(a if isinstance(a, Value) else Value(a) for a in args))
 
 
+def _grouped(facts, key: Callable) -> dict:
+    groups: dict = {}
+    for f in facts:
+        groups.setdefault(key(f), []).append(f)
+    return {k: tuple(fs) for k, fs in groups.items()}
+
+
 class Instance:
     """A set of facts together with the schema (relation name -> arity) they obey.
 
-    Lookups go through one index built lazily on first use and shared by every
-    reader afterwards: per-relation buckets, and hash indexes keyed by
-    (relation, bound argument positions).  Each piece is published with
-    `dict.setdefault`, so concurrent builders agree on one object.  The index
-    is derived from the facts and takes no part in equality or hashing.
+    Values derived from the facts alone (the lookup index, rule evaluations)
+    are memoized on the instance by `derived`: built on first use, published
+    with `dict.setdefault` so concurrent builders agree on one object, and
+    shared by every reader afterwards.  They take no part in equality or
+    hashing.
     """
 
-    __slots__ = ("schema", "facts", "_index")
+    __slots__ = ("schema", "facts", "_derived")
 
     def __init__(self, schema: Mapping[str, int], facts: Iterable[Fact]):
         self.schema = dict(schema)
         self.facts = frozenset(facts)
-        # None -> {relation: facts}; (relation, positions) -> {values there: facts}
-        self._index: dict = {}
+        # None -> {relation: facts}; (relation, positions) -> {values there: facts};
+        # a tuple of rules -> its per-rule outputs (`evaluation.evaluated`)
+        self._derived: dict = {}
         for name, arity in self.schema.items():
             if arity < 1:
                 raise ValidationError(f"relation {name} has arity {arity} < 1")
@@ -129,36 +139,19 @@ class Instance:
                 )
 
     @classmethod
-    def from_facts(cls, facts: Iterable[Fact], schema: Optional[Mapping[str, int]] = None):
-        """Build an instance, inferring the schema from the facts when not given."""
-        facts = list(facts)
-        if schema is None:
-            inferred: dict[str, int] = {}
-            for f in facts:
-                known = inferred.setdefault(f.relation, len(f.args))
-                if known != len(f.args):
-                    raise ValidationError(
-                        f"relation {f.relation} used with arities {known} and {len(f.args)}"
-                    )
-            schema = inferred
-        return cls(schema, facts)
-
-    @classmethod
     def empty(cls, schema: Optional[Mapping[str, int]] = None):
         return cls(schema or {}, ())
 
-    def relation(self, name: str) -> frozenset:
-        return frozenset(self.bucket(name))
+    def derived(self, key, build: Callable[[], object]):
+        """The value memoized under `key`, made by `build()` on first use."""
+        value = self._derived.get(key)
+        if value is None:
+            value = self._derived.setdefault(key, build())
+        return value
 
     def bucket(self, name: str) -> tuple:
         """The facts of one relation, in a fixed order; empty when it has none."""
-        buckets = self._index.get(None)
-        if buckets is None:
-            grouped: dict = {}
-            for f in self.facts:
-                grouped.setdefault(f.relation, []).append(f)
-            buckets = self._index.setdefault(
-                None, {rel: tuple(fs) for rel, fs in grouped.items()})
+        buckets = self.derived(None, lambda: _grouped(self.facts, attrgetter("relation")))
         return buckets.get(name, ())
 
     def lookup(self, name: str, positions: tuple) -> dict:
@@ -166,14 +159,8 @@ class Instance:
         tuple of the values there -> facts carrying them."""
         if not positions:
             return {(): self.bucket(name)}
-        index = self._index.get((name, positions))
-        if index is None:
-            grouped: dict = {}
-            for f in self.bucket(name):
-                grouped.setdefault(tuple([f.args[i] for i in positions]), []).append(f)
-            index = self._index.setdefault(
-                (name, positions), {key: tuple(fs) for key, fs in grouped.items()})
-        return index
+        return self.derived((name, positions), lambda: _grouped(
+            self.bucket(name), lambda f: tuple([f.args[i] for i in positions])))
 
     def __len__(self):
         return len(self.facts)

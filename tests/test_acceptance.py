@@ -9,7 +9,6 @@ import time
 import pytest
 
 from ruleselect import (
-    EvalCache,
     ExactConfig,
     bilevel_optimum,
     build_pnpsc,
@@ -18,6 +17,7 @@ from ruleselect import (
     decision_bound,
     decision_exact_value,
     eval_rule,
+    evaluated,
     greedy_fp_bound,
     greedy_fpfn_bound,
     instance_digest,
@@ -100,13 +100,13 @@ def test_criterion_02_greedy_fp_within_bound():
     violations = 0
     checked = 0
     for rules, example in random_instances(220, base_seed=402, max_sets=12):
-        cache = EvalCache(rules, example.premise)
+        cache = evaluated(rules, example.premise)
         truth_size = len(example.truth.facts)
         assert truth_size <= 40
-        opt, _ = solve_exact(rules, example, FP, cache)
-        cover = solve_rbsc_greedy(build_rbsc(rules, example, cache))
+        opt, _ = solve_exact(rules, example, FP)
+        cover = solve_rbsc_greedy(build_rbsc(rules, example))
         selection = frozenset(cover.chosen)
-        rep = compute_errors(rules, selection, example, cache)
+        rep = compute_errors(rules, selection, example)
         assert rep.fn_count == 0
         bound = greedy_fp_bound(len(rules), truth_size)
         if rep.fp_count > bound * opt:
@@ -124,13 +124,13 @@ def test_criterion_03_greedy_fpfn_within_bound():
     checked = 0
     for rules, example in random_instances(220, base_seed=403, max_sets=12,
                                            fn_noise=0.3):
-        cache = EvalCache(rules, example.premise)
+        cache = evaluated(rules, example.premise)
         truth_size = len(example.truth.facts)
         assert truth_size <= 40
-        opt, _ = solve_exact(rules, example, FPFN, cache)
-        cover = solve_pnpsc_approx(build_pnpsc(rules, example, cache))
+        opt, _ = solve_exact(rules, example, FPFN)
+        cover = solve_pnpsc_approx(build_pnpsc(rules, example))
         selection = frozenset(cover.chosen)
-        rep = compute_errors(rules, selection, example, cache)
+        rep = compute_errors(rules, selection, example)
         assert rep.total == cover.cost
         bound = greedy_fpfn_bound(len(rules), truth_size)
         if cover.cost > bound * opt:
@@ -146,13 +146,13 @@ def test_criterion_04_cost_preservation_exhaustive():
     checked = 0
     for rules, example in random_instances(50, base_seed=404, max_sets=10,
                                            n_universe=(3, 8), fn_noise=0.3):
-        cache = EvalCache(rules, example.premise)
-        pn = build_pnpsc(rules, example, cache)
+        cache = evaluated(rules, example.premise)
+        pn = build_pnpsc(rules, example)
         members = dict(pn.sets)
         feasible = not (example.truth.facts - cache.union)
-        rb = build_rbsc(rules, example, cache) if feasible else None
+        rb = build_rbsc(rules, example) if feasible else None
         for sel in subsets_canonical(rules.names()):
-            rep = compute_errors(rules, sel, example, cache)
+            rep = compute_errors(rules, sel, example)
             assert rep.total == pn.cost(sel)
             if rb is not None and rep.fn_count == 0:
                 union = set().union(*(members[n] for n in sel)) if sel else set()
@@ -224,20 +224,20 @@ def test_criterion_09_decision_procedure_coherence(f1):
     instances = [f1] + random_instances(25, base_seed=409, max_sets=6,
                                         n_universe=(3, 8), fn_noise=0.3)
     for rules, example in instances:
-        cache = EvalCache(rules, example.premise)
-        opt, _ = solve_exact(rules, example, FPFN, cache)
+        cache = evaluated(rules, example.premise)
+        opt, _ = solve_exact(rules, example, FPFN)
         hi = len(example.truth.facts) + len(cache.union)
         for k in range(0, hi + 1):
             assert decision_bound(rules, example, k, "fpfn") == (opt <= k)
             assert decision_exact_value(rules, example, k, "fpfn") == (opt == k)
-        front = pareto_front(rules, example, FPFN, cache)
+        front = pareto_front(rules, example, FPFN)
         points = {(p.error, p.size) for p in front.points}
         max_size = sum(len(r.premise) for r in rules.rules)
         for e in range(0, hi + 1):
             for s in range(0, max_size + 1):
-                assert pareto_membership(rules, example, e, s, FPFN, cache) \
+                assert pareto_membership(rules, example, e, s, FPFN) \
                     == ((e, s) in points)
-        bl = bilevel_optimum(rules, example, FPFN, cache)
+        bl = bilevel_optimum(rules, example, FPFN)
         assert (bl.error, bl.size) in points
         assert bl.error == opt == min(p.error for p in front.points)
     report(9, "decision procedures agree with the exact solver and the front")

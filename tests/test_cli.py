@@ -105,9 +105,12 @@ def test_exit_code_usage(capsys, f1_files):
     code, _, err = run(capsys, [])
     assert code == 1
     # only the enumerating commands take an enumeration cap
-    for command in ("eval", "check-feasible"):
-        code, out, err = run(capsys, [command, "--max-rules", "5"] + f1_files)
-        assert code == 1 and out is None and err["error"]["code"] == "usage"
+    for command in (["eval"], ["check-feasible"],
+                    ["select", "--objective", "fp", "--method", "greedy"],
+                    ["select", "--objective", "fpfn", "--method", "greedy"]):
+        for value in ("5", "-5"):
+            code, out, err = run(capsys, command + ["--max-rules", value] + f1_files)
+            assert code == 1 and out is None and err["error"]["code"] == "usage", command
 
 
 def test_max_rules_must_be_positive(capsys, f1_files):

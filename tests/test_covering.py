@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 from ruleselect import (
     CoverageError,
     DataExample,
-    EvalCache,
     InfeasibleError,
     Instance,
     PnpscInstance,
@@ -12,6 +11,7 @@ from ruleselect import (
     build_pnpsc,
     build_rbsc,
     compute_errors,
+    evaluated,
     fact,
     parse_facts,
     parse_rules,
@@ -19,6 +19,7 @@ from ruleselect import (
     solve_pnpsc_approx,
     solve_rbsc_greedy,
 )
+from ruleselect._bitset import PackedUniverse
 from ruleselect.covering import fact_id
 from ruleselect.generators import GenSeed, gen_random_ruleselect
 
@@ -167,6 +168,24 @@ def test_greedy_uncoverable_blue_raises():
     assert "b" in str(err.value)
 
 
+def test_packed_universe_is_linear_in_memory():
+    # One bit per element, packed through a byte buffer: tens of thousands of
+    # elements stay within a few MB, not the square of the universe size.
+    import tracemalloc
+
+    elements = range(50_000)
+    tracemalloc.start()
+    try:
+        universe = PackedUniverse(elements)
+        mask = universe.pack(elements)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert mask == (1 << 50_000) - 1
+    assert peak < 20 * 2**20
+    assert universe.unpack(mask & ~1) == frozenset(elements) - {universe.facts[0]}
+
+
 def test_greedy_deterministic_under_permutation(f1):
     rules, example = f1
     inst = build_rbsc(rules, example)
@@ -204,11 +223,11 @@ def test_fp_cost_preservation_exhaustive(seed):
     rules, example = gen_random_ruleselect(
         GenSeed(seed=seed, n_universe=6, n_sets=6, density=0.4,
                 fp_noise=0.4, fn_noise=0.0, join_rules=1))
-    cache = EvalCache(rules, example.premise)
-    inst = build_rbsc(rules, example, cache)
+    cache = evaluated(rules, example.premise)
+    inst = build_rbsc(rules, example)
     members = dict(inst.sets)
     for sel in subsets_canonical(rules.names()):
-        rep = compute_errors(rules, sel, example, cache)
+        rep = compute_errors(rules, sel, example)
         if rep.fn_count:
             continue
         union = set().union(*(members[n] for n in sel)) if sel else set()
@@ -222,10 +241,10 @@ def test_total_cost_preservation_exhaustive(seed):
     rules, example = gen_random_ruleselect(
         GenSeed(seed=seed, n_universe=6, n_sets=6, density=0.4,
                 fp_noise=0.4, fn_noise=0.2, join_rules=1))
-    cache = EvalCache(rules, example.premise)
-    inst = build_pnpsc(rules, example, cache)
+    cache = evaluated(rules, example.premise)
+    inst = build_pnpsc(rules, example)
     for sel in subsets_canonical(rules.names()):
-        rep = compute_errors(rules, sel, example, cache)
+        rep = compute_errors(rules, sel, example)
         assert rep.total == inst.cost(sel)
 
 

@@ -5,15 +5,17 @@ from hypothesis import given, strategies as st
 
 from ruleselect import (
     DataExample,
-    EvalCache,
     EvaluationError,
     Instance,
-    ValidationError,
+    RuleSet,
     Value,
+    build_pnpsc,
+    build_rbsc,
     check_fp_feasible,
     compute_errors,
     eval_rule,
     eval_ruleset,
+    evaluated,
     fact,
     jaccard,
     parse_facts,
@@ -22,6 +24,7 @@ from ruleselect import (
 )
 from ruleselect.generators import GenSeed, gen_random_ruleselect
 
+from conftest import F1_PREMISE, F1_RULES, F1_TRUTH
 from oracles import naive_eval_rule
 
 
@@ -62,13 +65,47 @@ def test_eval_ruleset_unions(f1):
     assert len(eval_ruleset(rules, {"r1", "r2", "r3"}, example.premise)) == 6
 
 
-def test_eval_cache_reuse_and_mismatch(f1):
-    rules, example = f1
-    cache = EvalCache(rules, example.premise)
-    assert eval_ruleset(rules, {"r1"}, example.premise, cache) == cache.per_rule["r1"]
-    other = parse_rules('rule q: Z(x) -> B(x).')
-    with pytest.raises(ValidationError):
-        eval_ruleset(other, {"q"}, example.premise, cache)
+def test_evaluation_is_memoized_per_premise(monkeypatch):
+    # A fresh parse, so no earlier test has evaluated on this premise yet.
+    from ruleselect import evaluation, exact
+
+    rules = parse_rules(F1_RULES)
+    example = DataExample(parse_facts(F1_PREMISE, schema=rules.premise_schema),
+                          parse_facts(F1_TRUTH, schema=rules.conclusion_schema))
+    calls = []
+    real_eval_rule = evaluation.eval_rule
+
+    def counting_eval_rule(rule, premise):
+        calls.append(rule.name)
+        return real_eval_rule(rule, premise)
+
+    monkeypatch.setattr(evaluation, "eval_rule", counting_eval_rule)
+    compute_errors(rules, {"r1"}, example)
+    check_fp_feasible(rules, example)
+    build_rbsc(rules, example)
+    build_pnpsc(rules, example)
+    exact.solve_exact(rules, example)
+    exact.pareto_front(rules, example)
+    assert sorted(calls) == ["r1", "r2", "r3"]
+
+    # an equal rule list built anew hits the memo
+    rebuilt = parse_rules(F1_RULES)
+    assert rebuilt is not rules
+    full = evaluated(rules, example.premise)
+    assert evaluated(rebuilt, example.premise) is full
+    assert len(calls) == 3
+
+    # a sub-list is its own rule list: evaluated separately, to the same outputs
+    sub = RuleSet(rules.rules[:2], rules.premise_schema, rules.conclusion_schema)
+    assert evaluated(sub, example.premise).per_rule == \
+        {name: full.per_rule[name] for name in ("r1", "r2")}
+    assert sorted(calls) == ["r1", "r1", "r2", "r2", "r3"]
+
+    # an equal premise parsed anew starts its own memo
+    premise = parse_facts(F1_PREMISE, schema=rules.premise_schema)
+    assert premise == example.premise
+    assert evaluated(rules, premise).per_rule == full.per_rule
+    assert len(calls) == 8
 
 
 def test_compute_errors_f1(f1):
@@ -139,12 +176,12 @@ def test_eval_monotone_in_selection(seed, a, b):
     rules, example = gen_random_ruleselect(
         GenSeed(seed=seed, n_universe=5, n_sets=5, density=0.4,
                 fp_noise=0.3, fn_noise=0.1, join_rules=1))
-    cache = EvalCache(rules, example.premise)
+    cache = evaluated(rules, example.premise)
     small = frozenset(a)
     large = small | frozenset(b)
     assert cache.eval_selection(small) <= cache.eval_selection(large)
-    rep_s = compute_errors(rules, small, example, cache)
-    rep_l = compute_errors(rules, large, example, cache)
+    rep_s = compute_errors(rules, small, example)
+    rep_l = compute_errors(rules, large, example)
     assert rep_l.fn_count <= rep_s.fn_count
     assert rep_l.fp_count >= rep_s.fp_count
 
@@ -154,12 +191,12 @@ def test_error_report_consistency(seed):
     rules, example = gen_random_ruleselect(
         GenSeed(seed=seed, n_universe=6, n_sets=4, density=0.4,
                 fp_noise=0.2, fn_noise=0.2, join_rules=1))
-    cache = EvalCache(rules, example.premise)
-    rep = compute_errors(rules, frozenset(rules.names()), example, cache)
+    cache = evaluated(rules, example.premise)
+    rep = compute_errors(rules, frozenset(rules.names()), example)
     assert rep.fp & example.truth.facts == frozenset()
     assert rep.fn <= example.truth.facts
     assert rep.total == rep.fp_count + rep.fn_count
-    assert (rep.fn_count == 0) == check_fp_feasible(rules, example, cache).ok
+    assert (rep.fn_count == 0) == check_fp_feasible(rules, example).ok
 
 
 RULE_CORPUS = [
@@ -197,15 +234,16 @@ def test_eval_rule_matches_naive_oracle(seed, rule_texts):
 
 
 def test_concurrent_evaluation_shares_one_index():
-    # Threads race to build the lazy premise index; a lost or torn update
-    # would give a thread other facts or another index object.
+    # Threads race to build the lazy premise index and the rule list's
+    # evaluation; a lost or torn update would give a thread other facts or
+    # another index or evaluation object.
     import sys
     import threading
 
     rules, example = gen_random_ruleselect(
         GenSeed(seed=3, n_universe=300, n_sets=12, density=0.4,
                 fp_noise=0.3, fn_noise=0.1, join_rules=4))
-    expected = EvalCache(rules, example.premise).per_rule
+    expected = evaluated(rules, example.premise).per_rule
     premise = parse_facts(write_facts(example.premise), schema=rules.premise_schema)
     n_threads = 8
     barrier = threading.Barrier(n_threads)
@@ -214,7 +252,7 @@ def test_concurrent_evaluation_shares_one_index():
     def work():
         barrier.wait(timeout=60)
         indexes = [premise.lookup(rel, (0,)) for rel in premise.schema]
-        results.append((EvalCache(rules, premise).per_rule, indexes))
+        results.append((evaluated(rules, premise), indexes))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -228,7 +266,7 @@ def test_concurrent_evaluation_shares_one_index():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert len(results) == n_threads
-    first = results[0][1]
-    for per_rule, indexes in results:
-        assert per_rule == expected
+    first_cache, first = results[0]
+    for cache, indexes in results:
+        assert cache is first_cache and cache.per_rule == expected
         assert all(a is b for a, b in zip(indexes, first))

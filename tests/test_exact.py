@@ -5,13 +5,13 @@ from hypothesis import given, settings, strategies as st
 from ruleselect import (
     CapacityError,
     DataExample,
-    EvalCache,
     ExactConfig,
     InfeasibleError,
     Instance,
     bilevel_optimum,
     decision_bound,
     decision_exact_value,
+    evaluated,
     fact,
     is_bilevel_optimal,
     is_pareto_optimal,
@@ -137,16 +137,16 @@ def test_is_bilevel_optimal_f1(f1):
 @settings(max_examples=60)
 def test_solve_exact_matches_brute_force(seed):
     rules, example = random_example(seed)
-    cache = EvalCache(rules, example.premise)
+    cache = evaluated(rules, example.premise)
     truth = example.truth.facts
     for objective in ("fpfn", "fp"):
         expect_err, expect_sel = brute_force_optimum(
             rules.names(), cache.per_rule, truth, fp_only=objective == "fp")
         if objective == "fp" and (truth - cache.union):
             with pytest.raises(InfeasibleError):
-                solve_exact(rules, example, ExactConfig(objective=objective), cache)
+                solve_exact(rules, example, ExactConfig(objective=objective))
             continue
-        err, sel = solve_exact(rules, example, ExactConfig(objective=objective), cache)
+        err, sel = solve_exact(rules, example, ExactConfig(objective=objective))
         assert err == expect_err
         assert sel == expect_sel
 
@@ -155,9 +155,9 @@ def test_solve_exact_matches_brute_force(seed):
 @settings(max_examples=40)
 def test_front_sound_and_complete(seed):
     rules, example = random_example(seed)
-    cache = EvalCache(rules, example.premise)
+    cache = evaluated(rules, example.premise)
     sizes = {r.name: rule_size(r) for r in rules.rules}
-    front = pareto_front(rules, example, FPFN, cache)
+    front = pareto_front(rules, example, FPFN)
     points = {(p.error, p.size) for p in front.points}
     expect, pairs = brute_force_front(
         rules.names(), cache.per_rule, sizes, example.truth.facts, fp_only=False)
@@ -191,8 +191,8 @@ def test_bilevel_on_front_with_min_error(seed):
 @settings(max_examples=20)
 def test_decision_procedures_cohere(seed):
     rules, example = random_example(seed, n_sets=4)
-    cache = EvalCache(rules, example.premise)
-    opt, _ = solve_exact(rules, example, FPFN, cache)
+    cache = evaluated(rules, example.premise)
+    opt, _ = solve_exact(rules, example, FPFN)
     hi = len(example.truth.facts) + len(cache.union)
     for k in range(0, hi + 1):
         assert decision_bound(rules, example, k, "fpfn") == (opt <= k)
@@ -254,12 +254,12 @@ def test_exact_witness_is_lowest_mask_not_smallest_front_point():
     # On this instance the least-error subset with the lowest mask is not the
     # smallest one, so solve_exact must not take its witness from the front.
     rules, example = random_example(36)
-    cache = EvalCache(rules, example.premise)
+    cache = evaluated(rules, example.premise)
     expect = brute_force_optimum(rules.names(), cache.per_rule,
                                  example.truth.facts, fp_only=False)
-    err, witness = solve_exact(rules, example, FPFN, cache)
+    err, witness = solve_exact(rules, example, FPFN)
     assert (err, witness) == expect
-    assert witness != bilevel_optimum(rules, example, FPFN, cache).witness
+    assert witness != bilevel_optimum(rules, example, FPFN).witness
 
 
 def test_wide_universe_crosses_word_boundary():
@@ -267,8 +267,8 @@ def test_wide_universe_crosses_word_boundary():
     rules, example = gen_random_ruleselect(
         GenSeed(seed=7, n_universe=90, n_sets=8, density=0.6,
                 fp_noise=0.3, fn_noise=0.1, join_rules=2))
-    cache = EvalCache(rules, example.premise)
+    cache = evaluated(rules, example.premise)
     assert len(cache.union | example.truth.facts) > 64
     expect = brute_force_optimum(rules.names(), cache.per_rule,
                                  example.truth.facts, fp_only=False)
-    assert solve_exact(rules, example, FPFN, cache) == expect
+    assert solve_exact(rules, example, FPFN) == expect

@@ -2,12 +2,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ruleselect import (
-    EvalCache,
     EvalLimits,
     ExactConfig,
     SetCoverInstance,
     ValidationError,
     compute_errors,
+    evaluated,
     instance_digest,
     pareto_front,
     rule_size,
@@ -132,11 +132,11 @@ def test_generated_rules_validate_within_limits():
 
 def test_marker_fp_sets_are_exactly_markers():
     rules, example = rules_from_set_cover(F1_SC)
-    cache = EvalCache(rules, example.premise)
+    cache = evaluated(rules, example.premise)
     for sel in subsets_canonical(rules.names()):
         covered = set().union(*(F1_SC.sets[int(n[1:]) - 1] for n in sel)) if sel else set()
         if covered == set(F1_SC.universe):
-            rep = compute_errors(rules, sel, example, cache)
+            rep = compute_errors(rules, sel, example)
             assert {f.args[0].data for f in rep.fp} == {f"a{n[1:]}" for n in sel}
 
 
@@ -168,11 +168,11 @@ def test_random_ruleselect_reproducible_digest():
 def test_random_ruleselect_zero_noise_is_perfect():
     rules, example = gen_random_ruleselect(
         GenSeed(seed=9, n_universe=6, n_sets=4, density=0.5))
-    cache = EvalCache(rules, example.premise)
+    cache = evaluated(rules, example.premise)
     assert example.truth.facts == cache.union
-    err, _ = solve_exact(rules, example, ExactConfig(objective="fpfn"), cache)
+    err, _ = solve_exact(rules, example, ExactConfig(objective="fpfn"))
     assert err == 0
-    assert compute_errors(rules, frozenset(rules.names()), example, cache).total == 0
+    assert compute_errors(rules, frozenset(rules.names()), example).total == 0
 
 
 def test_random_ruleselect_rules_validate():

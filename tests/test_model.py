@@ -40,15 +40,13 @@ def test_value_rejects_floats_and_huge_ints():
 
 
 def test_fact_set_semantics():
-    inst = Instance.from_facts([fact("B", "u1"), fact("B", "u1"), fact("B", "u2")])
+    inst = Instance({"B": 1}, [fact("B", "u1"), fact("B", "u1"), fact("B", "u2")])
     assert len(inst) == 2
 
 
 def test_instance_rejects_arity_mismatch():
     with pytest.raises(ValidationError):
         Instance({"B": 2}, [fact("B", "u1")])
-    with pytest.raises(ValidationError):
-        Instance.from_facts([fact("B", "u1"), fact("B", "u1", "u2")])
 
 
 def test_rule_size_single_atom():
