@@ -62,7 +62,6 @@ from .model import (
 )
 from .parser import (
     ParseError,
-    instance_digest,
     parse_facts,
     parse_rules,
     write_facts,

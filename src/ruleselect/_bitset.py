@@ -4,8 +4,8 @@ Each element of a fixed universe owns one bit of a Python `int`, so a set of
 elements packs into one int, unions are `|`, and sizes are `bit_count()`.
 Bit positions follow set iteration order: every result the solvers report
 depends only on counts and unions, never on which bit an element holds.
-Packing and unpacking go through a little-endian byte buffer of `n_words`
-64-bit words, so both take time and memory linear in the universe size.
+Packing goes through a little-endian byte buffer of `n_words` 64-bit words,
+so it takes time and memory linear in the universe size.
 """
 from __future__ import annotations
 
@@ -31,8 +31,3 @@ class PackedUniverse:
 
     def pack_rows(self, element_sets) -> list:
         return [self.pack(es) for es in element_sets]
-
-    def unpack(self, mask: int) -> frozenset:
-        """The elements whose bits are set in `mask`."""
-        buf = mask.to_bytes(self.n_words * 8, "little")
-        return frozenset(e for i, e in enumerate(self.facts) if buf[i >> 3] >> (i & 7) & 1)

@@ -222,7 +222,7 @@ def _cmd_check_feasible(args) -> dict:
     rules, example = _load(args)
     feas = check_fp_feasible(rules, example)
     return {"command": "check-feasible", "feasible": feas.ok,
-            "missing": sorted(covering.fact_id(f) for f in feas.missing)}
+            "missing": sorted(map(str, feas.missing))}
 
 
 def _cmd_gen(args) -> dict:
@@ -313,7 +313,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except InfeasibleError as e:
         _error("fp_infeasible", str(e),
-               {"missing": sorted(covering.fact_id(f) for f in e.missing)})
+               {"missing": sorted(map(str, e.missing))})
         return EXIT_INFEASIBLE
     except CapacityError as e:
         _error("capacity_exceeded", str(e))

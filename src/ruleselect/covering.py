@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable
 
 from ._bitset import PackedUniverse
@@ -24,7 +25,6 @@ from .model import (
     RuleSet,
     ValidationError,
 )
-from .parser import format_fact
 
 
 def _check_system(ground_a, ground_b, sets, kind_a, kind_b):
@@ -38,7 +38,7 @@ def _check_system(ground_a, ground_b, sets, kind_a, kind_b):
         stray = members - ground_a - ground_b
         if stray:
             raise ValidationError(
-                f"set {label!r} contains unknown elements {sorted(stray)[:3]}")
+                f"set {label!r} contains unknown elements {sorted(map(str, stray))[:3]}")
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,7 @@ class RbscInstance:
 
     red: frozenset
     blue: frozenset
-    sets: tuple  # ordered (label, frozenset of element ids)
+    sets: tuple  # ordered (label, frozenset of elements)
 
     def __post_init__(self):
         _check_system(self.red, self.blue, self.sets, "red", "blue")
@@ -79,25 +79,20 @@ class CoverSelection:
 
     chosen: tuple  # labels, sorted
     cost: int
-    covered_red: frozenset = frozenset()
-
-
-def fact_id(f) -> str:
-    return format_fact(f)
 
 
 def _fact_sets(rules: RuleSet, example: DataExample):
-    """Truth ids, spurious derivable ids, and one (rule name, ids) set per rule.
+    """Truth facts, spurious derivable facts, and one (rule name, facts) set per rule.
 
-    Sets are deliberately not deduplicated across rules with equal output, so
+    The sets are the memoized evaluation outputs themselves, so elements
+    compare as `Fact`s do: by value, whatever the spelling of a constant.
+    They are deliberately not deduplicated across rules with equal output, so
     labels stay in one-to-one correspondence with rules.
     """
     truth = example.truth.facts
     cache = evaluated(rules, example.premise)
-    sets = tuple((r.name, frozenset(fact_id(f) for f in cache.per_rule[r.name]))
-                 for r in rules.rules)
-    return (frozenset(fact_id(f) for f in truth),
-            frozenset(fact_id(f) for f in cache.union - truth), sets)
+    sets = tuple((r.name, cache.per_rule[r.name]) for r in rules.rules)
+    return truth, cache.union - truth, sets
 
 
 def build_rbsc(rules: RuleSet, example: DataExample) -> RbscInstance:
@@ -128,9 +123,9 @@ def pnpsc_to_rbsc(instance: PnpscInstance) -> RbscInstance:
     markers = {}
     taken = instance.positive | instance.negative
     labels = {label for label, _ in instance.sets}
-    for p in sorted(instance.positive):
-        marker = f"skip:{p}"
-        label = f"skip({p})"
+    for text, p in sorted(((str(p), p) for p in instance.positive), key=itemgetter(0)):
+        marker = f"skip:{text}"
+        label = f"skip({text})"
         if marker in taken or label in labels:
             raise ValidationError(f"skip marker for {p!r} collides with existing ids")
         markers[p] = (label, marker)
@@ -208,14 +203,14 @@ def solve_rbsc_greedy(instance: RbscInstance) -> CoverSelection:
             continue
         chosen, covered = _greedy_pass(eligible, red, blue)
         key = ((covered & red).bit_count(), len(chosen), tuple(sorted(chosen)))
-        if best is None or key < best[0]:
-            best = (key, covered)
+        if best is None or key < best:
+            best = key
     if best is None:  # the last threshold admits every set
-        missing = min(instance.blue - universe.unpack(reach))
+        missing = min(instance.blue.difference(*(members for _, members in instance.sets)),
+                      key=str)
         raise CoverageError(f"blue element {missing!r} is in no set")
-    (cost, _, chosen), covered = best
-    covered_red = instance.red & universe.unpack(covered)
-    return CoverSelection(chosen=chosen, cost=cost, covered_red=covered_red)
+    cost, _, chosen = best
+    return CoverSelection(chosen=chosen, cost=cost)
 
 
 def solve_pnpsc_approx(instance: PnpscInstance) -> CoverSelection:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable
 
@@ -30,6 +29,7 @@ from .model import (
     check_selection,
     display_var,
 )
+from .parser import write_rules
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
@@ -40,11 +40,7 @@ def tokenize(text: str) -> frozenset:
 
 
 def _as_text(v: Value) -> str:
-    if v.is_text:
-        return v.data
-    if isinstance(v.data, Decimal):
-        return format(v.data, "f")
-    return str(v.data)
+    return v.data if v.is_text else str(v)
 
 
 def jaccard(x: Value, y: Value) -> Fraction:
@@ -185,9 +181,10 @@ class EvalCache:
 def evaluated(rules: RuleSet, premise: Instance) -> EvalCache:
     """The per-rule outputs of `rules` on `premise`, memoized on the premise.
 
-    Keyed by the rule tuple, so an equal rule list built anew shares them.
+    Keyed by the canonical rule text, so an equal rule list built anew shares
+    them, and lists that spell a constant differently (`1`, `1.0`) do not.
     """
-    return premise.derived(rules.rules, lambda: EvalCache(rules, premise))
+    return premise.derived(write_rules(rules), lambda: EvalCache(rules, premise))
 
 
 def eval_ruleset(rules: RuleSet, selection: Iterable[str], premise: Instance) -> frozenset:

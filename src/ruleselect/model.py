@@ -74,6 +74,16 @@ class Value:
             return (1, self.data)
         return (0, self.data)
 
+    def __str__(self):
+        """The canonical literal: quoted, escaped text or a plain number."""
+        d = self.data
+        if isinstance(d, str):
+            escaped = d.replace("\\", "\\\\").replace('"', '\\"')
+            return f'"{escaped}"'
+        if isinstance(d, Decimal):
+            return format(d, "f")
+        return str(d)
+
     def __repr__(self):
         return f"Value({self.data!r})"
 
@@ -94,6 +104,10 @@ class Fact:
 
     def sort_key(self):
         return (self.relation, tuple(a.sort_key() for a in self.args))
+
+    def __str__(self):
+        """The canonical text, as one line of a fact file."""
+        return f"{self.relation}({', '.join(map(str, self.args))})"
 
 
 def fact(relation: str, *args) -> Fact:
@@ -124,7 +138,7 @@ class Instance:
         self.schema = dict(schema)
         self.facts = frozenset(facts)
         # None -> {relation: facts}; (relation, positions) -> {values there: facts};
-        # a tuple of rules -> its per-rule outputs (`evaluation.evaluated`)
+        # a rule list's canonical text -> its per-rule outputs (`evaluation.evaluated`)
         self._derived: dict = {}
         for name, arity in self.schema.items():
             if arity < 1:

@@ -12,7 +12,6 @@ comment in both formats.
 """
 from __future__ import annotations
 
-import hashlib
 import re
 from decimal import Decimal
 from typing import Mapping, Optional
@@ -22,7 +21,6 @@ from .model import (
     INT64_MAX,
     INT64_MIN,
     BuiltinAtom,
-    DataExample,
     Fact,
     Instance,
     RelationalAtom,
@@ -440,19 +438,10 @@ def parse_facts(text: str, schema: Optional[Mapping[str, int]] = None,
 # --------------------------------------------------------------------------
 
 
-def _format_value(v: Value) -> str:
-    if v.is_text:
-        escaped = v.data.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{escaped}"'
-    if isinstance(v.data, Decimal):
-        return format(v.data, "f")
-    return str(v.data)
-
-
 def _format_term(t: Term) -> str:
     if t.is_var:
         return "_" if t.var.startswith("_#") else t.var
-    return _format_value(t.const)
+    return str(t.const)
 
 
 def _format_atom(a) -> str:
@@ -462,10 +451,6 @@ def _format_atom(a) -> str:
             parts.append(format(a.threshold, "f"))
         return f"{a.name}({', '.join(parts)})"
     return f"{a.relation}({', '.join(_format_term(t) for t in a.terms)})"
-
-
-def format_fact(f: Fact) -> str:
-    return f"{f.relation}({', '.join(_format_value(v) for v in f.args)})"
 
 
 def write_rules(rules: RuleSet) -> str:
@@ -479,16 +464,6 @@ def write_rules(rules: RuleSet) -> str:
 
 def write_facts(inst: Instance) -> str:
     """Canonical fact file: facts sorted by (relation, args)."""
-    lines = [format_fact(f) for f in sorted(inst.facts, key=Fact.sort_key)]
+    lines = [str(f) for f in sorted(inst.facts, key=Fact.sort_key)]
     return "\n".join(lines) + ("\n" if lines else "")
 
-
-def instance_digest(rules: RuleSet, example: DataExample) -> str:
-    """Stable hex digest of the canonical serialization of a problem instance."""
-    h = hashlib.sha256()
-    h.update(write_rules(rules).encode("utf-8"))
-    h.update(b"\x00")
-    h.update(write_facts(example.premise).encode("utf-8"))
-    h.update(b"\x00")
-    h.update(write_facts(example.truth).encode("utf-8"))
-    return h.hexdigest()[:16]

@@ -6,11 +6,24 @@ agree by computing the same thing.
 """
 from __future__ import annotations
 
+import hashlib
 import re
 from fractions import Fraction
 from itertools import product
 
 from ruleselect.model import BuiltinAtom, Fact, RelationalAtom
+from ruleselect.parser import write_facts, write_rules
+
+
+def instance_digest(rules, example) -> str:
+    """Stable hex digest of the canonical serialization of a problem instance."""
+    h = hashlib.sha256()
+    h.update(write_rules(rules).encode("utf-8"))
+    h.update(b"\x00")
+    h.update(write_facts(example.premise).encode("utf-8"))
+    h.update(b"\x00")
+    h.update(write_facts(example.truth).encode("utf-8"))
+    return h.hexdigest()[:16]
 
 
 def subsets_canonical(names):
@@ -195,7 +208,7 @@ def _reference_pass(sets, red, blue):
 
 
 def reference_rbsc_greedy(red, blue, sets):
-    """(chosen, cost, covered_red) of the threshold-sweep greedy on frozensets.
+    """(chosen, cost) of the threshold-sweep greedy on frozensets.
 
     The set-of-strings implementation the bitset greedy replaced: thresholds
     0, the largest red count, the powers of two below it and (with at most 64
@@ -215,7 +228,7 @@ def reference_rbsc_greedy(red, blue, sets):
         if best is None or key < best[0]:
             best = (key, labels, covered)
     _, labels, covered = best
-    return labels, len(covered & red), frozenset(covered & red)
+    return labels, len(covered & red)
 
 
 def reference_pnpsc_approx(positive, negative, sets):
@@ -223,7 +236,7 @@ def reference_pnpsc_approx(positive, negative, sets):
     greedy, skip labels dropped, cost recomputed on the original system."""
     skips = tuple((f"skip({p})", frozenset({p, f"skip:{p}"})) for p in sorted(positive))
     red = frozenset(negative) | {f"skip:{p}" for p in positive}
-    labels, _, _ = reference_rbsc_greedy(red, frozenset(positive), tuple(sets) + skips)
+    labels, _ = reference_rbsc_greedy(red, frozenset(positive), tuple(sets) + skips)
     original = {label for label, _ in sets}
     chosen = tuple(label for label in labels if label in original)
     union = set().union(*(members for label, members in sets if label in chosen))

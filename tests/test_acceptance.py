@@ -20,7 +20,6 @@ from ruleselect import (
     evaluated,
     greedy_fp_bound,
     greedy_fpfn_bound,
-    instance_digest,
     pareto_front,
     pareto_membership,
     parse_facts,
@@ -46,6 +45,7 @@ from oracles import (
     brute_force_min_cover,
     brute_force_pnpsc_min,
     brute_force_rbsc_min,
+    instance_digest,
     naive_eval_rule,
     subsets_canonical,
 )

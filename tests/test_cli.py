@@ -136,6 +136,23 @@ def test_exit_code_infeasible(capsys, f1_files, tmp_path):
     assert err["error"]["missing"] == ['B("zz")']
 
 
+def test_greedy_and_exact_agree_on_numerically_equal_constants(capsys, tmp_path):
+    # Out(1) derived and Out(1.0) in the truth are one fact: equal by value.
+    (tmp_path / "rules.rules").write_text("rule a: P(x) -> Out(x).\n")
+    (tmp_path / "premise.facts").write_text("P(1)\nP(2)\n")
+    (tmp_path / "truth.facts").write_text("Out(1.0)\n")
+    files = ["--rules", str(tmp_path / "rules.rules"),
+             "--premise", str(tmp_path / "premise.facts"),
+             "--truth", str(tmp_path / "truth.facts")]
+    for objective in ("fp", "fpfn"):
+        _, exact, _ = run(capsys, ["select", "--objective", objective,
+                                   "--method", "exact"] + files)
+        code, out, err = run(capsys, ["select", "--objective", objective,
+                                      "--method", "greedy"] + files)
+        assert code == 0 and err is None, (objective, err)
+        assert out["error"] == exact["error"] == 1, objective
+
+
 def test_exit_code_capacity(capsys, f1_files):
     code, _, err = run(capsys, ["select", "--objective", "fpfn", "--method", "exact",
                                 "--max-rules", "2"] + f1_files)

@@ -20,7 +20,6 @@ from ruleselect import (
     solve_rbsc_greedy,
 )
 from ruleselect._bitset import PackedUniverse
-from ruleselect.covering import fact_id
 from ruleselect.generators import GenSeed, gen_random_ruleselect
 
 from oracles import (
@@ -32,13 +31,14 @@ from oracles import (
 )
 
 
-def bid(name):  # element id of a unary B fact
-    return fact_id(fact("B", name))
+def bid(name):  # set-system element of a unary B fact: the fact itself
+    return fact("B", name)
 
 
 def test_build_rbsc_f1(f1):
     rules, example = f1
     inst = build_rbsc(rules, example)
+    assert inst.blue == example.truth.facts
     assert inst.blue == {bid("u1"), bid("u2"), bid("u3")}
     assert inst.red == {bid("a1"), bid("a2"), bid("a3")}
     assert dict(inst.sets) == {
@@ -101,8 +101,7 @@ def test_pnpsc_to_rbsc_f1(f1):
     assert len(aug.red) == 6
     assert len(aug.sets) == 6
     labels = [label for label, _ in aug.sets]
-    assert labels[:3] == ["r1", "r2", "r3"]
-    assert all(label.startswith("skip(") for label in labels[3:])
+    assert labels == ["r1", "r2", "r3", 'skip(B("u1"))', 'skip(B("u2"))', 'skip(B("u3"))']
 
 
 def test_pnpsc_to_rbsc_no_positives():
@@ -124,10 +123,12 @@ def test_pnpsc_to_rbsc_isolated_positive():
 
 def test_greedy_f1(f1):
     rules, example = f1
-    cover = solve_rbsc_greedy(build_rbsc(rules, example))
+    inst = build_rbsc(rules, example)
+    cover = solve_rbsc_greedy(inst)
     assert cover.chosen == ("r1", "r2")
     assert cover.cost == 2
-    assert cover.covered_red == {bid("a1"), bid("a2")}
+    members = dict(inst.sets)
+    assert (members["r1"] | members["r2"]) & inst.red == {bid("a1"), bid("a2")}
 
 
 def test_greedy_prefers_zero_red_sets():
@@ -183,7 +184,7 @@ def test_packed_universe_is_linear_in_memory():
         tracemalloc.stop()
     assert mask == (1 << 50_000) - 1
     assert peak < 20 * 2**20
-    assert universe.unpack(mask & ~1) == frozenset(elements) - {universe.facts[0]}
+    assert universe.pack(universe.facts[1:]) == mask & ~1
 
 
 def test_greedy_deterministic_under_permutation(f1):
@@ -313,11 +314,9 @@ def test_greedy_matches_reference_greedy(seed):
     union = set().union(*(members for _, members in sets))
     if blue <= union:
         cover = solve_rbsc_greedy(RbscInstance(red=red, blue=blue, sets=sets))
-        assert (cover.chosen, cover.cost, cover.covered_red) == \
-            reference_rbsc_greedy(red, blue, sets)
+        assert (cover.chosen, cover.cost) == reference_rbsc_greedy(red, blue, sets)
     else:
         with pytest.raises(CoverageError):
             solve_rbsc_greedy(RbscInstance(red=red, blue=blue, sets=sets))
     cover = solve_pnpsc_approx(PnpscInstance(positive=blue, negative=red, sets=sets))
-    assert (cover.chosen, cover.cost, cover.covered_red) == \
-        (*reference_pnpsc_approx(blue, red, sets), frozenset())
+    assert (cover.chosen, cover.cost) == reference_pnpsc_approx(blue, red, sets)

@@ -108,6 +108,16 @@ def test_evaluation_is_memoized_per_premise(monkeypatch):
     assert len(calls) == 8
 
 
+def test_evaluation_memo_keeps_the_spelling_of_constants():
+    premise = parse_facts("P(1)\nP(2)\n")
+    derived = {}
+    for literal in ("1", "1.0", "1.00"):
+        rules = parse_rules(f"rule a: P(x) -> Out({literal}).")
+        (out,) = evaluated(rules, premise).per_rule["a"]
+        derived[literal] = str(out)
+    assert derived == {"1": "Out(1)", "1.0": "Out(1.0)", "1.00": "Out(1.00)"}
+
+
 def test_compute_errors_f1(f1):
     rules, example = f1
     rep = compute_errors(rules, {"r1"}, example)

@@ -8,7 +8,6 @@ from ruleselect import (
     ValidationError,
     compute_errors,
     evaluated,
-    instance_digest,
     pareto_front,
     rule_size,
     solve_exact,
@@ -26,7 +25,7 @@ from ruleselect.generators import (
 from ruleselect.parser import write_facts, write_rules
 
 from conftest import F1_PREMISE, F1_RULES, F1_TRUTH
-from oracles import brute_force_min_cover, subsets_canonical
+from oracles import brute_force_min_cover, instance_digest, subsets_canonical
 
 F1_SC = SetCoverInstance(
     universe=("u1", "u2", "u3"),
