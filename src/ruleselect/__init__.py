@@ -52,7 +52,6 @@ from .model import (
     RuleSet,
     Term,
     ValidationError,
-    Value,
     const,
     fact,
     rule_size,

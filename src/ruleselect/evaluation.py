@@ -25,9 +25,9 @@ from .model import (
     RuleSet,
     Selection,
     ValidationError,
-    Value,
     check_selection,
     display_var,
+    literal,
 )
 from .parser import write_rules
 
@@ -39,11 +39,11 @@ def tokenize(text: str) -> frozenset:
     return frozenset(_TOKEN_RE.findall(text.lower()))
 
 
-def _as_text(v: Value) -> str:
-    return v.data if v.is_text else str(v)
+def _as_text(v) -> str:
+    return v if isinstance(v, str) else literal(v)
 
 
-def jaccard(x: Value, y: Value) -> Fraction:
+def jaccard(x, y) -> Fraction:
     """Token-set Jaccard similarity in [0, 1]; two empty token sets count as equal."""
     a = tokenize(_as_text(x))
     b = tokenize(_as_text(y))
@@ -52,16 +52,16 @@ def jaccard(x: Value, y: Value) -> Fraction:
     return Fraction(len(a & b), len(a | b))
 
 
-#: Builtin name -> predicate; all are pure, deterministic, and total on Values.
+#: Builtin name -> predicate; all are pure, deterministic, and total on constants.
 #: geq/leq compare numbers numerically, texts lexicographically; cross-kind is false.
 BUILTINS: dict = {
     "neq": lambda vals, thr: vals[0] != vals[1],
     "eq": lambda vals, thr: vals[0] == vals[1],
     "jaccard_geq": lambda vals, thr: jaccard(vals[0], vals[1]) >= thr,
-    "geq": lambda vals, thr: (vals[0].is_text == vals[1].is_text
-                              and vals[0].data >= vals[1].data),
-    "leq": lambda vals, thr: (vals[0].is_text == vals[1].is_text
-                              and vals[0].data <= vals[1].data),
+    "geq": lambda vals, thr: (isinstance(vals[0], str) == isinstance(vals[1], str)
+                              and vals[0] >= vals[1]),
+    "leq": lambda vals, thr: (isinstance(vals[0], str) == isinstance(vals[1], str)
+                              and vals[0] <= vals[1]),
 }
 
 

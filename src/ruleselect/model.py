@@ -1,4 +1,4 @@
-"""Core domain types: values, facts, instances, rule ASTs, selections, error reports.
+"""Core domain types: constants, facts, instances, rule ASTs, selections, error reports.
 
 Everything here is immutable after construction and safe to share across threads;
 an `Instance` only memoizes values derived from its facts.
@@ -47,45 +47,32 @@ INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
 
 
-@dataclass(frozen=True)
-class Value:
-    """A constant: UTF-8 text, or a number (64-bit integer or exact decimal).
+def check_constant(v) -> None:
+    """Accept a constant: UTF-8 text, a 64-bit integer or a finite decimal.
 
-    Equality is strict across kinds: text "1" never equals number 1.  Numbers
-    compare to each other by numeric value (int 1 == Decimal("1.0")).
+    Constants are the plain Python values, so equality is Python's own: text
+    "1" never equals number 1, and numbers compare by numeric value
+    (1 == Decimal("1.0"), with equal hashes).
     """
+    if isinstance(v, str):
+        return
+    if isinstance(v, bool) or not isinstance(v, (int, Decimal)):
+        raise ValidationError(f"unsupported constant {v!r}")
+    if isinstance(v, int):
+        if not INT64_MIN <= v <= INT64_MAX:
+            raise ValidationError(f"integer {v} outside the 64-bit range")
+    elif not v.is_finite():
+        raise ValidationError(f"decimal {v} is not finite")
 
-    data: Union[str, int, Decimal]
 
-    def __post_init__(self):
-        d = self.data
-        if isinstance(d, bool) or not isinstance(d, (str, int, Decimal)):
-            raise ValidationError(f"unsupported value payload {d!r}")
-        if isinstance(d, int) and not INT64_MIN <= d <= INT64_MAX:
-            raise ValidationError(f"integer {d} outside the 64-bit range")
-
-    @property
-    def is_text(self) -> bool:
-        return isinstance(self.data, str)
-
-    def sort_key(self):
-        # Total order: numbers before texts; numbers numerically, texts by code point.
-        if self.is_text:
-            return (1, self.data)
-        return (0, self.data)
-
-    def __str__(self):
-        """The canonical literal: quoted, escaped text or a plain number."""
-        d = self.data
-        if isinstance(d, str):
-            escaped = d.replace("\\", "\\\\").replace('"', '\\"')
-            return f'"{escaped}"'
-        if isinstance(d, Decimal):
-            return format(d, "f")
-        return str(d)
-
-    def __repr__(self):
-        return f"Value({self.data!r})"
+def literal(v) -> str:
+    """The canonical literal of a constant: quoted, escaped text or a plain number."""
+    if isinstance(v, str):
+        escaped = v.replace("\\", "\\\\").replace('"', '\\"')
+        return f'"{escaped}"'
+    if isinstance(v, Decimal):
+        return format(v, "f")
+    return str(v)
 
 
 @dataclass(frozen=True)
@@ -99,20 +86,20 @@ class Fact:
         if not self.relation:
             raise ValidationError("fact needs a relation name")
         for a in self.args:
-            if not isinstance(a, Value):
-                raise ValidationError(f"fact argument {a!r} is not a Value")
+            check_constant(a)
 
     def sort_key(self):
-        return (self.relation, tuple(a.sort_key() for a in self.args))
+        # Numbers before texts; numbers numerically, texts by code point.
+        return (self.relation, tuple((isinstance(a, str), a) for a in self.args))
 
     def __str__(self):
         """The canonical text, as one line of a fact file."""
-        return f"{self.relation}({', '.join(map(str, self.args))})"
+        return f"{self.relation}({', '.join(map(literal, self.args))})"
 
 
 def fact(relation: str, *args) -> Fact:
-    """Convenience constructor: wraps raw str/int/Decimal args into Values."""
-    return Fact(relation, tuple(a if isinstance(a, Value) else Value(a) for a in args))
+    """Convenience constructor: `fact("R", "a", 1)` is `Fact("R", ("a", 1))`."""
+    return Fact(relation, args)
 
 
 def _grouped(facts, key: Callable) -> dict:
@@ -196,11 +183,13 @@ class Term:
     """A variable or a constant in an atom.  Exactly one of var/const is set."""
 
     var: Optional[str] = None
-    const: Optional[Value] = None
+    const: Union[str, int, Decimal, None] = None
 
     def __post_init__(self):
         if (self.var is None) == (self.const is None):
             raise ValidationError("term must be exactly one of variable or constant")
+        if self.const is not None:
+            check_constant(self.const)
 
     @property
     def is_var(self) -> bool:
@@ -212,7 +201,7 @@ def var(name: str) -> Term:
 
 
 def const(v) -> Term:
-    return Term(const=v if isinstance(v, Value) else Value(v))
+    return Term(const=v)
 
 
 @dataclass(frozen=True)

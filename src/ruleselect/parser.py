@@ -28,7 +28,7 @@ from .model import (
     RuleSet,
     Term,
     ValidationError,
-    Value,
+    literal,
     validate,
 )
 
@@ -145,7 +145,7 @@ class _Lexer:
         if is_decimal:
             return _Token("number", Decimal(raw), line, col)
         n = int(raw)
-        if not -(2**63) <= n <= 2**63 - 1:
+        if not INT64_MIN <= n <= INT64_MAX:
             self.error(f"integer {raw} outside the 64-bit range", line, col)
         return _Token("number", n, line, col)
 
@@ -263,7 +263,7 @@ class _RuleParser:
             if bound_tok.kind != "number":
                 self.error(f"{name} bound must be a numeric literal")
             self._advance()
-            t2 = Term(const=Value(bound_tok.value))
+            t2 = Term(const=bound_tok.value)
         else:
             t2 = self._term()
         self.expect("punct", ")")
@@ -304,10 +304,10 @@ class _RuleParser:
             return Term(var=tok.value)
         if tok.kind == "string":
             self._advance()
-            return Term(const=Value(tok.value))
+            return Term(const=tok.value)
         if tok.kind == "number":
             self._advance()
-            return Term(const=Value(tok.value))
+            return Term(const=tok.value)
         self.error("expected a term")
 
 
@@ -346,14 +346,14 @@ def _fast_fact_line(raw: str) -> Optional[Fact]:
             text = quoted[1:-1]
             if "\\" in text:
                 text = _ESCAPE_RE.sub(r"\1", text)
-            args.append(Value(text))
+            args.append(text)
         elif "." in number:
-            args.append(Value(Decimal(number)))
+            args.append(Decimal(number))
         else:
             n = int(number)
             if not INT64_MIN <= n <= INT64_MAX:
                 return None
-            args.append(Value(n))
+            args.append(n)
     return Fact(m.group(1), tuple(args))
 
 
@@ -380,7 +380,7 @@ def _lex_fact_line(raw: str, file: str) -> Optional[Fact]:
     while True:
         tok = lexer.next()
         if tok.kind in ("string", "number"):
-            args.append(Value(tok.value))
+            args.append(tok.value)
         else:
             got = tok.value if tok.kind != "eof" else "<eol>"
             lexer.error(f"expected a constant term, got {got!r}", 1, tok.col)
@@ -441,7 +441,7 @@ def parse_facts(text: str, schema: Optional[Mapping[str, int]] = None,
 def _format_term(t: Term) -> str:
     if t.is_var:
         return "_" if t.var.startswith("_#") else t.var
-    return str(t.const)
+    return literal(t.const)
 
 
 def _format_atom(a) -> str:

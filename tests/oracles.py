@@ -40,9 +40,9 @@ def _oracle_tokens(text: str):
 def _oracle_value_text(v):
     from decimal import Decimal
 
-    if isinstance(v.data, Decimal):
-        return format(v.data, "f")
-    return v.data if v.is_text else str(v.data)
+    if isinstance(v, Decimal):
+        return format(v, "f")
+    return v if isinstance(v, str) else str(v)
 
 
 def _oracle_builtin(atom: BuiltinAtom, env) -> bool:
@@ -57,15 +57,15 @@ def _oracle_builtin(atom: BuiltinAtom, env) -> bool:
         sim = Fraction(1) if not a and not b else Fraction(len(a & b), len(a | b))
         return sim >= atom.threshold
     a, b = vals
-    if a.is_text != b.is_text:
+    if isinstance(a, str) != isinstance(b, str):
         return False
-    return a.data >= b.data if atom.name == "geq" else a.data <= b.data
+    return a >= b if atom.name == "geq" else a <= b
 
 
 def naive_eval_rule(rule, premise) -> frozenset:
     """Try every assignment of rule variables over the premise's active domain."""
     adom = sorted({v for f in premise.facts for v in f.args},
-                  key=lambda v: v.sort_key())
+                  key=lambda v: (isinstance(v, str), v))
     variables = []
     for atom in list(rule.premise) + [rule.head]:
         for name in atom.variables():

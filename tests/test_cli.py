@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -188,6 +189,38 @@ def test_deterministic_json_modulo_runtime(capsys, f1_files):
         body = json.loads(raw)
         body.pop("runtime_ms")
         outs.append(json.dumps(body))
+    assert outs[0] == outs[1]
+
+
+def test_output_does_not_depend_on_the_hash_seed(capsys, tmp_path):
+    # Set and dict iteration orders follow the string hash, which
+    # PYTHONHASHSEED randomizes; the reported answers must not.
+    out_dir = tmp_path / "inst"
+    code, _, _ = run(capsys, ["gen", "random", "--seed", "1", "--universe", "10",
+                              "--sets", "8", "--density", "0.4", "--fp-noise", "0.5",
+                              "--fn-noise", "0.2", "--join-rules", "1",
+                              "--out", str(out_dir)])
+    assert code == 0
+    files = ["--rules", str(out_dir / "rules.rules"),
+             "--premise", str(out_dir / "premise.facts"),
+             "--truth", str(out_dir / "truth.facts")]
+    script = f"""
+from ruleselect.cli import main
+files = {files!r}
+for argv in (["select", "--method", "greedy", "--objective", "fpfn"] + files,
+             ["select", "--method", "exact", "--objective", "fpfn"] + files,
+             ["pareto"] + files):
+    assert main(argv) == 0, argv
+"""
+    src = str(Path(ruleselect.__file__).resolve().parents[1])
+    outs = []
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(re.sub(r'"runtime_ms": [0-9]+', '"runtime_ms": 0', proc.stdout))
+    assert len(outs[0].splitlines()) == 3
     assert outs[0] == outs[1]
 
 

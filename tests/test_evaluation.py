@@ -7,12 +7,15 @@ from ruleselect import (
     DataExample,
     EvaluationError,
     Instance,
+    RelationalAtom,
+    Rule,
     RuleSet,
-    Value,
+    Term,
     build_pnpsc,
     build_rbsc,
     check_fp_feasible,
     compute_errors,
+    const,
     eval_rule,
     eval_ruleset,
     evaluated,
@@ -20,6 +23,7 @@ from ruleselect import (
     jaccard,
     parse_facts,
     parse_rules,
+    var,
     write_facts,
 )
 from ruleselect.generators import GenSeed, gen_random_ruleselect
@@ -29,7 +33,7 @@ from oracles import naive_eval_rule
 
 
 def names(facts):
-    return sorted(f.args[0].data for f in facts)
+    return sorted(f.args[0] for f in facts)
 
 
 def test_eval_rule_f1(f1):
@@ -118,6 +122,28 @@ def test_evaluation_memo_keeps_the_spelling_of_constants():
     assert derived == {"1": "Out(1)", "1.0": "Out(1.0)", "1.00": "Out(1.00)"}
 
 
+def _rule_with_constant(term):
+    rule = Rule("r", (RelationalAtom("P", (var("x"), term)),),
+                RelationalAtom("Out", (var("x"),)))
+    return RuleSet.infer([rule])
+
+
+def test_term_built_from_a_plain_int_matches_facts():
+    premise = Instance({"P": 2}, [fact("P", "u", 5)])
+    (built,) = _rule_with_constant(Term(const=5)).rules
+    assert eval_rule(built, premise) == {fact("Out", "u")}
+
+
+@pytest.mark.parametrize("first", ["Term", "const"])
+def test_evaluation_memo_agrees_for_equal_constant_terms(first):
+    premise = Instance({"P": 2}, [fact("P", "u", 5)])
+    lists = {"Term": _rule_with_constant(Term(const=5)),
+             "const": _rule_with_constant(const(5))}
+    order = [first] + [k for k in lists if k != first]
+    outputs = [evaluated(lists[k], premise).per_rule["r"] for k in order]
+    assert outputs == [{fact("Out", "u")}] * 2
+
+
 def test_compute_errors_f1(f1):
     rules, example = f1
     rep = compute_errors(rules, {"r1"}, example)
@@ -140,11 +166,11 @@ def test_check_fp_feasible(f1):
 
 
 def test_jaccard_values():
-    assert jaccard(Value("univ of california"), Value("univ of california")) == 1
-    assert jaccard(Value("department of medicine stanford"),
-                   Value("school of medicine stanford")) == Fraction(3, 5)
-    assert jaccard(Value(""), Value("")) == 1
-    assert jaccard(Value(42), Value("42")) == 1  # numbers are rendered to text
+    assert jaccard("univ of california", "univ of california") == 1
+    assert jaccard("department of medicine stanford",
+                   "school of medicine stanford") == Fraction(3, 5)
+    assert jaccard("", "") == 1
+    assert jaccard(42, "42") == 1  # numbers are rendered to text
 
 
 def test_builtin_comparisons():
@@ -166,17 +192,16 @@ def test_jaccard_filter_in_rule():
         'A("p2", "school of medicine stanford")\n'
         'A("p3", "univ of california")\n')
     out = eval_rule(rules.rule("s"), premise)
-    pairs = sorted((f.args[0].data, f.args[1].data) for f in out)
+    pairs = sorted((f.args[0], f.args[1]) for f in out)
     assert pairs == [("p1", "p2"), ("p2", "p1")]
 
 
 @given(st.text(max_size=40), st.text(max_size=40))
 def test_jaccard_properties(a, b):
-    va, vb = Value(a), Value(b)
-    sim = jaccard(va, vb)
+    sim = jaccard(a, b)
     assert 0 <= sim <= 1
-    assert sim == jaccard(vb, va)
-    assert jaccard(va, va) == 1
+    assert sim == jaccard(b, a)
+    assert jaccard(a, a) == 1
 
 
 @given(st.integers(min_value=0, max_value=10**6),

@@ -59,9 +59,9 @@ def test_set_cover_instance_invariants():
 def test_clone_construction_smallest():
     sc = SetCoverInstance(universe=("u1",), sets=(frozenset({"u1"}),))
     rules, example = rules_from_set_cover_clones(sc)
-    prem = {f.args[0].data for f in example.premise.facts}
+    prem = {f.args[0] for f in example.premise.facts}
     assert prem == {"u1", "a1", "b1^1"}
-    truth = {f.args[0].data for f in example.truth.facts}
+    truth = {f.args[0] for f in example.truth.facts}
     assert truth == {"u1", "b1^1"}
 
 
@@ -86,7 +86,7 @@ def test_indexed_construction_bit_atoms():
     sigma1 = rules.rule("r1")  # index 1 in two bits is 01
     rels = [a.relation for a in sigma1.relational_atoms()]
     assert rels == ["Bit_0", "Bit_1", "One", "Succ", "S"]
-    first_args = [a.terms[0].const.data for a in sigma1.relational_atoms()[:2]]
+    first_args = [a.terms[0].const for a in sigma1.relational_atoms()[:2]]
     assert first_args == [1, 2]
     assert rules.premise_schema == {"One": 1, "S": 2, "Bit_0": 2, "Bit_1": 2, "Succ": 2}
 
@@ -136,7 +136,7 @@ def test_marker_fp_sets_are_exactly_markers():
         covered = set().union(*(F1_SC.sets[int(n[1:]) - 1] for n in sel)) if sel else set()
         if covered == set(F1_SC.universe):
             rep = compute_errors(rules, sel, example)
-            assert {f.args[0].data for f in rep.fp} == {f"a{n[1:]}" for n in sel}
+            assert {f.args[0] for f in rep.fp} == {f"a{n[1:]}" for n in sel}
 
 
 def test_random_setcover_reproducible_and_valid():

@@ -5,12 +5,14 @@ from hypothesis import given, strategies as st
 
 from ruleselect import (
     EvalLimits,
+    Fact,
     Instance,
     RelationalAtom,
     Rule,
     RuleSet,
+    Term,
     ValidationError,
-    Value,
+    const,
     fact,
     parse_rules,
     rule_size,
@@ -20,23 +22,42 @@ from ruleselect import (
 )
 
 
-def test_value_equality_is_strict():
-    assert Value("1") != Value(1)
-    assert Value(1) == Value(Decimal("1.0"))
-    assert hash(Value(1)) == hash(Value(Decimal("1")))
+def test_fact_equality_is_strict_across_kinds():
+    assert fact("R", "1") != fact("R", 1)
+    assert fact("R", 1) == fact("R", Decimal("1.0"))
+    assert hash(fact("R", 1)) == hash(fact("R", Decimal("1")))
 
 
-def test_value_ordering_numbers_before_texts():
-    vals = [Value("a"), Value(2), Value("1"), Value(Decimal("1.5"))]
-    ordered = sorted(vals, key=Value.sort_key)
-    assert [v.data for v in ordered] == [Decimal("1.5"), 2, "1", "a"]
+def test_fact_ordering_numbers_before_texts():
+    facts = [fact("R", "a"), fact("R", 2), fact("R", "1"), fact("R", Decimal("1.5"))]
+    ordered = sorted(facts, key=Fact.sort_key)
+    assert [f.args[0] for f in ordered] == [Decimal("1.5"), 2, "1", "a"]
 
 
-def test_value_rejects_floats_and_huge_ints():
+def test_fact_rejects_floats_and_huge_ints():
     with pytest.raises(ValidationError):
-        Value(1.5)
+        fact("R", 1.5)
     with pytest.raises(ValidationError):
-        Value(2**63)
+        fact("R", 2**63)
+
+
+@pytest.mark.parametrize("text", ["Infinity", "-Infinity", "NaN", "sNaN"])
+def test_non_finite_decimals_are_rejected(text):
+    with pytest.raises(ValidationError):
+        fact("R", Decimal(text))
+    with pytest.raises(ValidationError):
+        const(Decimal(text))
+
+
+@pytest.mark.parametrize("bad", [True, 1.5, 2**63, b"u"])
+def test_term_constants_are_checked(bad):
+    with pytest.raises(ValidationError):
+        Term(const=bad)
+
+
+def test_term_constant_is_the_plain_value():
+    assert Term(const=5) == const(5)
+    assert Term(const="u") == const("u")
 
 
 def test_fact_set_semantics():

@@ -57,7 +57,7 @@ def test_parse_facts_numeric_args():
     inst = parse_facts('SameAuthor(19132421, 1, 19135934, 1)')
     (f,) = inst.facts
     assert f.relation == "SameAuthor"
-    assert [a.data for a in f.args] == [19132421, 1, 19135934, 1]
+    assert list(f.args) == [19132421, 1, 19135934, 1]
 
 
 def test_parse_facts_empty_term_is_error():
