@@ -15,13 +15,24 @@ order) occupies bit i, and subsets are ranked by ascending mask value, so the
 Fact sets arrive as the Python ints of `_bitset.PackedUniverse`; `as_words`
 lays them out as rows of uint64 words, fact bit i at bit i % 64 of word
 i // 64, for the kernel.
+
+Inner subset unions are held word-major, one contiguous row per fact word,
+and each outer block is one pass per word: OR the base, XOR the truth J,
+popcount, add, into preallocated buffers.  One popcount suffices because
+fp + fn = |x xor J|; FP mode also ORs up the J bits of x xor J (those x
+misses) and keeps only subsets that miss none.
 """
 from __future__ import annotations
 
 import numpy as np
 
+from .model import CapacityError
+
 #: Subset masks are int64 values with rule i at bit i.
 MAX_RULES = 62
+#: Most (subset, fact word) pairs one enumeration may visit: 2^24 subsets over
+#: 256 words, about 15-30 s on a 2-vCPU host.  More is refused up front.
+MAX_WORD_VISITS = 2**32
 
 
 def as_words(masks, n_words: int) -> np.ndarray:
@@ -29,10 +40,6 @@ def as_words(masks, n_words: int) -> np.ndarray:
     raw = b"".join(m.to_bytes(8 * n_words, "little") for m in masks)
     words = np.frombuffer(raw, dtype="<u8").reshape(len(masks), n_words)
     return words.astype(np.uint64)
-
-
-def _popcount_rows(a: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(a).sum(axis=-1, dtype=np.int64)
 
 
 def _doubled_unions(rule_masks: np.ndarray, upto: int) -> np.ndarray:
@@ -53,10 +60,12 @@ def _size_profile(rule_masks, sizes, j_mask, fp_only):
     n, w = rule_masks.shape
     if n > MAX_RULES:
         raise ValueError(f"subset masks limited to {MAX_RULES} rules")
-    not_j = np.bitwise_not(j_mask)
+    if (1 << n) * w > MAX_WORD_VISITS:
+        raise CapacityError(
+            f"enumerating 2^{n} subsets over {w} fact words is {(1 << n) * w:,} word "
+            f"visits, above the limit of {MAX_WORD_VISITS:,}")
     sizes = np.asarray(sizes, dtype=np.int64)
     split = min(n, 16)
-    inner = _doubled_unions(rule_masks, split)
     inner_sizes = np.zeros(1, dtype=np.int64)
     for i in range(split):
         inner_sizes = np.concatenate([inner_sizes, inner_sizes + sizes[i]])
@@ -64,15 +73,17 @@ def _size_profile(rule_masks, sizes, j_mask, fp_only):
     # (error << split | inner mask) of a group is its least error at its
     # lowest mask, found for every group by one reduceat per block.
     order = np.argsort(inner_sizes, kind="stable")
-    inner = inner[order]
+    inner_t = np.ascontiguousarray(_doubled_unions(rule_masks, split)[order].T)  # (w, 2^split)
     grouped_sizes = inner_sizes[order]
     starts = np.flatnonzero(np.r_[True, grouped_sizes[1:] != grouped_sizes[:-1]])
     group_sizes = grouped_sizes[starts]
     low = np.int64((1 << split) - 1)
-    j_pop = int(_popcount_rows(j_mask[None, :])[0])
-    big = np.int64(64 * w + j_pop + 1)
+    big = np.int64(64 * w + 1)  # above any |x xor J|
     max_size = int(sizes.sum())
 
+    diff, lost, missing = (np.empty(1 << split, dtype=np.uint64) for _ in range(3))
+    count = np.empty(1 << split, dtype=np.uint8)
+    errs = np.empty(1 << split, dtype=np.int64)
     best_err = np.full(max_size + 1, np.int64(-1))
     witness = np.full(max_size + 1, np.int64(-1))
     for outer in range(1 << (n - split)):
@@ -82,10 +93,18 @@ def _size_profile(rule_masks, sizes, j_mask, fp_only):
             if outer >> t & 1:
                 base |= rule_masks[split + t]
                 base_size += int(sizes[split + t])
-        fulls = inner | base
-        fp = _popcount_rows(fulls & not_j)
-        fn = j_pop - _popcount_rows(fulls & j_mask)
-        errs = np.where(fn == 0, fp, big) if fp_only else fp + fn
+        errs.fill(0)
+        missing.fill(0)
+        for k in range(w):
+            np.bitwise_or(inner_t[k], base[k], out=diff)
+            np.bitwise_xor(diff, j_mask[k], out=diff)
+            if fp_only:
+                np.bitwise_and(diff, j_mask[k], out=lost)
+                np.bitwise_or(missing, lost, out=missing)
+            np.bitwise_count(diff, out=count)
+            np.add(errs, count, out=errs)
+        if fp_only:
+            errs[missing != 0] = big
         least = np.minimum.reduceat((errs << split) | order, starts)
         err = least >> split
         s = group_sizes + base_size

@@ -85,6 +85,8 @@ class Fact:
     def __post_init__(self):
         if not self.relation:
             raise ValidationError("fact needs a relation name")
+        if not isinstance(self.args, tuple):
+            raise ValidationError(f"fact arguments must be a tuple, not {type(self.args).__name__}")
         for a in self.args:
             check_constant(a)
 

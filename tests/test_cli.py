@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -170,6 +171,22 @@ def test_exit_code_capacity_beyond_subset_masks(capsys, tmp_path):
     for command in (["select", "--objective", "fpfn", "--method", "exact"], ["pareto"]):
         code, _, err = run(capsys, command + ["--max-rules", "100"] + files)
         assert code == 3 and err["error"]["code"] == "capacity_exceeded", err
+
+
+@pytest.mark.parametrize("n_rules, cap", [(40, "40"), (60, "70")])
+def test_exit_code_capacity_past_the_work_limit(capsys, tmp_path, n_rules, cap):
+    # Under the rule cap and the 62-rule mask limit, but 2^n subsets are too
+    # many to enumerate: refused at once instead of running for hours.
+    run(capsys, ["gen", "random", "--seed", "5", "--universe", "40",
+                 "--sets", str(n_rules), "--out", str(tmp_path)])
+    files = ["--rules", str(tmp_path / "rules.rules"),
+             "--premise", str(tmp_path / "premise.facts"),
+             "--truth", str(tmp_path / "truth.facts")]
+    start = time.perf_counter()
+    code, _, err = run(capsys, ["pareto", "--max-rules", cap] + files)
+    assert code == 3 and err["error"]["code"] == "capacity_exceeded", err
+    assert "word visits" in err["error"]["message"]
+    assert time.perf_counter() - start < 5
 
 
 def test_exit_code_limits_violation(capsys, f1_files, tmp_path):

@@ -208,6 +208,56 @@ def test_fp_optimum_at_least_fpfn(seed):
     assert fp_err >= fpfn_err
 
 
+def _subset_unions(int_masks, int_sizes):
+    """Union and size of every subset, each from its mask without the lowest bit."""
+    n = len(int_masks)
+    unions, subset_sizes = [0] * (1 << n), [0] * (1 << n)
+    for m in range(1, 1 << n):
+        low = (m & -m).bit_length() - 1
+        unions[m] = unions[m & (m - 1)] | int_masks[low]
+        subset_sizes[m] = subset_sizes[m & (m - 1)] + int_sizes[low]
+    return unions, subset_sizes
+
+
+def _direct_sweep(subsets, j_int):
+    """Per fp_only: (least error, lowest mask) overall and per size, by a direct
+    integer sweep over every subset."""
+    unions, subset_sizes = subsets
+    best = {False: (-1, -1), True: (-1, -1)}
+    profile = {f: [(-1, -1)] * (max(subset_sizes) + 1) for f in best}  # per size
+    for m, (union, s) in enumerate(zip(unions, subset_sizes)):
+        fp = (union & ~j_int).bit_count()
+        fn = (j_int & ~union).bit_count()
+        for fp_only in (False, True):
+            if fp_only and fn:
+                continue
+            err = fp if fp_only else fp + fn
+            if best[fp_only][0] < 0 or err < best[fp_only][0]:
+                best[fp_only] = (err, m)
+            if profile[fp_only][s][0] < 0 or err < profile[fp_only][s][0]:
+                profile[fp_only][s] = (err, m)
+    return best, profile
+
+
+def _as_word_rows(int_masks, n_words):
+    return np.array([[m >> (64 * k) & (2**64 - 1) for k in range(n_words)]
+                     for m in int_masks], dtype=np.uint64)
+
+
+def _check_kernels(int_masks, int_sizes, subsets, j_int, n_words):
+    masks = _as_word_rows(int_masks, n_words)
+    j = _as_word_rows([j_int], n_words)[0]
+    sizes = np.array(int_sizes, dtype=np.int64)
+    zero_sizes = np.zeros(len(int_masks), dtype=np.int64)
+    best, profile = _direct_sweep(subsets, j_int)
+    for fp_only in (False, True):
+        assert _kernels.solve_exact_masks(masks, j, fp_only=fp_only) == best[fp_only]
+        got_err, got_witness = _kernels.size_profile_masks(masks, sizes, j, fp_only=fp_only)
+        assert list(zip(got_err.tolist(), got_witness.tolist())) == profile[fp_only], fp_only
+        got_err, got_witness = _kernels.size_profile_masks(masks, zero_sizes, j, fp_only=fp_only)
+        assert (got_err.tolist(), got_witness.tolist()) == ([best[fp_only][0]], [best[fp_only][1]])
+
+
 def test_kernels_beyond_numpy_chunk_threshold():
     # 18 rules exercise the kernel's outer/inner split (at 16) and the witness
     # order at scale; checked against a direct integer sweep.
@@ -217,37 +267,51 @@ def test_kernels_beyond_numpy_chunk_threshold():
     n, bits = 18, 30
     int_masks = [rng.getrandbits(bits) for _ in range(n)]
     j_int = rng.getrandbits(bits)
-    masks = np.array([[m] for m in int_masks], dtype=np.uint64)
-    j = np.array([j_int], dtype=np.uint64)
     int_sizes = [rng.randint(1, 3) for _ in range(n)]
-    sizes = np.array(int_sizes, dtype=np.int64)
-
-    # Union and size of every subset, each from its mask without the lowest bit.
-    unions, subset_sizes = [0] * (1 << n), [0] * (1 << n)
-    for m in range(1, 1 << n):
-        low = (m & -m).bit_length() - 1
-        unions[m] = unions[m & (m - 1)] | int_masks[low]
-        subset_sizes[m] = subset_sizes[m & (m - 1)] + int_sizes[low]
-
-    for fp_only in (False, True):
-        best = (-1, -1)
-        profile = [(-1, -1)] * (sum(int_sizes) + 1)  # per size: (least error, lowest mask)
-        for m in range(1 << n):
-            fp = bin(unions[m] & ~j_int).count("1")
-            fn = bin(j_int & ~unions[m]).count("1")
-            if fp_only and fn:
-                continue
-            err = fp if fp_only else fp + fn
-            if best[0] < 0 or err < best[0]:
-                best = (err, m)
-            s = subset_sizes[m]
-            if profile[s][0] < 0 or err < profile[s][0]:
-                profile[s] = (err, m)
-        assert _kernels.solve_exact_masks(masks, j, fp_only=fp_only) == best
-        got_err, got_witness = _kernels.size_profile_masks(masks, sizes, j, fp_only=fp_only)
-        assert list(zip(got_err.tolist(), got_witness.tolist())) == profile, fp_only
+    _check_kernels(int_masks, int_sizes, _subset_unions(int_masks, int_sizes), j_int,
+                   n_words=1)
+    masks = _as_word_rows(int_masks, 1)
     uncoverable = np.array([j_int | 1 << 40], dtype=np.uint64)  # bit 40 is in no rule
     assert _kernels.solve_exact_masks(masks[:4], uncoverable, fp_only=True) == (-1, -1)
+
+
+def test_kernels_across_fact_words():
+    # 18 rules over 200 facts (4 words, the last one partial), so a slip in
+    # the kernel's per-word loop shows; checked against a direct integer sweep.
+    import random
+
+    rng = random.Random(4321)
+    n_words, bits = 4, 200
+    sparse = [rng.getrandbits(bits) & rng.getrandbits(bits) & rng.getrandbits(bits)
+              for _ in range(14)]
+    straddling = [1 << 63 | 1 << 64, 1 << 127 | 1 << 128, 1 << 191 | 1 << 192, 1 << 199]
+    no_rule = 1 << 70 | 1 << 198  # bits that no rule has
+    int_masks = [m & ~no_rule for m in sparse + straddling]
+    int_sizes = [rng.randint(1, 3) for _ in int_masks]
+    first_word_only = rng.getrandbits(64) & rng.getrandbits(64)
+    last_word_only = (rng.getrandbits(6) | 1) << 192
+    across_words = (1 << 63 | 1 << 64 | 1 << 127 | 1 << 128 | 1 << 191 | 1 << 192
+                    | rng.getrandbits(bits) & rng.getrandbits(bits) & ~no_rule)
+    subsets = _subset_unions(int_masks, int_sizes)
+    for j_int in (first_word_only, last_word_only, across_words):
+        _check_kernels(int_masks, int_sizes, subsets, j_int, n_words)
+    masks = _as_word_rows(int_masks, n_words)
+    sizes = np.array(int_sizes, dtype=np.int64)
+    for bit in (70, 198):
+        uncoverable = _as_word_rows([across_words | 1 << bit], n_words)[0]
+        assert _kernels.solve_exact_masks(masks, uncoverable, fp_only=True) == (-1, -1)
+        got_err, got_witness = _kernels.size_profile_masks(masks, sizes, uncoverable,
+                                                           fp_only=True)
+        assert set(got_err.tolist()) == set(got_witness.tolist()) == {-1}
+
+
+def test_kernels_refuse_work_past_the_limit():
+    # 2^33 subsets of one word each is past the limit, refused before any
+    # allocation; the default 24-rule cap over 256 words stays within it.
+    assert (1 << 24) * 256 <= _kernels.MAX_WORD_VISITS
+    masks = np.ones((33, 1), dtype=np.uint64)
+    with pytest.raises(CapacityError, match="word visits"):
+        _kernels.solve_exact_masks(masks, np.ones(1, dtype=np.uint64))
 
 
 def test_exact_witness_is_lowest_mask_not_smallest_front_point():

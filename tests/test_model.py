@@ -55,6 +55,13 @@ def test_term_constants_are_checked(bad):
         Term(const=bad)
 
 
+@pytest.mark.parametrize("args", [["a"], "a", None])
+def test_fact_args_must_be_a_tuple(args):
+    # a list would pass here and then fail to hash inside Instance
+    with pytest.raises(ValidationError):
+        Fact("R", args)
+
+
 def test_term_constant_is_the_plain_value():
     assert Term(const=5) == const(5)
     assert Term(const="u") == const("u")
