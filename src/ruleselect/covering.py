@@ -3,8 +3,10 @@
 A rule-selection problem maps to a red-blue instance (FP objective: cover the
 truth facts, touch few spurious ones) or to a positive-negative instance
 (FP+FN objective: uncovered positives and covered negatives both cost).  The
-positive-negative problem is solved by augmenting with one "skip" set per
-positive element and running the red-blue greedy.  The greedy packs each set
+positive-negative problem is the red-blue one augmented with a "skip" set
+{p, marker} per positive p (`pnpsc_to_rbsc`), kept implicit: the greedy
+scans the rule sets only and takes skips in label order between scans
+(`solve_pnpsc_approx` says why that is exact).  The greedy packs each set
 into one int of a `_bitset.PackedUniverse`, so every step is unions and
 popcounts.
 """
@@ -114,24 +116,36 @@ def build_pnpsc(rules: RuleSet, example: DataExample) -> PnpscInstance:
     return PnpscInstance(positive=positive, negative=negative, sets=sets)
 
 
+def _skips(instance: PnpscInstance):
+    """(label, marker, positive) per positive element, in label order.
+
+    Raises `ValidationError` when a label or marker is already taken, so the
+    implicit skips of `solve_pnpsc_approx` stay a faithful stand-in for the
+    explicit sets of `pnpsc_to_rbsc`.
+    """
+    skips = sorted(((f"skip({p})", f"skip:{p}", p) for p in instance.positive),
+                   key=itemgetter(0))
+    taken = instance.positive | instance.negative
+    labels = {label for label, _ in instance.sets}
+    for label, marker, p in skips:
+        if marker in taken or label in labels:
+            raise ValidationError(f"skip marker for {p!r} collides with existing ids")
+        labels.add(label)
+    return skips
+
+
 def pnpsc_to_rbsc(instance: PnpscInstance) -> RbscInstance:
-    """Augment with a two-element skip set {p, marker} per positive element p.
+    """The explicit reduction: a two-element skip set {p, marker} per positive p.
 
     Covering a positive via its skip set costs exactly one red (the marker),
     matching the cost of leaving it uncovered on the original instance.
+    `solve_pnpsc_approx` keeps these sets implicit; this function stays for
+    the oracle tests and the benchmark's trace.
     """
-    markers = {}
-    taken = instance.positive | instance.negative
-    labels = {label for label, _ in instance.sets}
-    for text, p in sorted(((str(p), p) for p in instance.positive), key=itemgetter(0)):
-        marker = f"skip:{text}"
-        label = f"skip({text})"
-        if marker in taken or label in labels:
-            raise ValidationError(f"skip marker for {p!r} collides with existing ids")
-        markers[p] = (label, marker)
-    red = frozenset(instance.negative) | frozenset(m for _, m in markers.values())
-    skips = tuple((label, frozenset({p, marker})) for p, (label, marker) in markers.items())
-    return RbscInstance(red=red, blue=instance.positive, sets=(*instance.sets, *skips))
+    skips = _skips(instance)
+    red = instance.negative | {marker for _, marker, _ in skips}
+    sets = tuple((label, frozenset({p, marker})) for label, marker, p in skips)
+    return RbscInstance(red=red, blue=instance.positive, sets=(*instance.sets, *sets))
 
 
 def _thresholds(red_counts):
@@ -150,15 +164,20 @@ def _thresholds(red_counts):
     return sorted({counts[bisect_right(counts, t) - 1] for t in taus if t >= counts[0]})
 
 
-def _greedy_pass(sets, red, blue):
-    """One weighted-greedy run over (label, mask) sets that together cover blue.
+def _greedy_pass(sets, red, blue, skips):
+    """One weighted-greedy run over (label, mask) sets and implicit skip sets
+    that together cover blue; returns the labels taken and their red count.
 
     Each step takes the set of smallest new-red/new-blue ratio, then most new
-    blue, then lowest label, among the sets that still add blue.
+    blue, then lowest label, among the sets that still add blue.  `skips`
+    lists (label, blue bit) in label order for skip sets of one blue and one
+    red of their own (see `solve_pnpsc_approx`).  After each scan they are
+    taken in order, with no rescan, while each beats the best key it found.
     """
     covered = 0
     chosen = []
     available = sets
+    i = skipped = 0
     while blue & ~covered:
         best = None
         still = []
@@ -172,39 +191,59 @@ def _greedy_pass(sets, red, blue):
             # (nr/nb, -nb, label) below best's, with the ratios cross-multiplied
             if best is None or (nr * best[1], -nb, label) < (best[0] * nb, -best[1], best[2]):
                 best = (nr, nb, label, mask)
-        chosen.append(best[2])
-        covered |= best[3]
         available = still
-    return chosen, covered
+        before = skipped
+        # skip key (1/1, -1, label) below best's: then below every set's after earlier skips
+        while i < len(skips) and (skips[i][1] & covered or best is None
+                                  or (best[1], -1, skips[i][0]) < (best[0], -best[1], best[2])):
+            label, bit = skips[i]
+            if not bit & covered:
+                chosen.append(label)
+                covered |= bit
+                skipped += 1
+            i += 1
+        if skipped == before:
+            chosen.append(best[2])
+            covered |= best[3]
+    return chosen, (covered & red).bit_count() + skipped
+
+
+def _sweep(labels, masks, red, blue, skips):
+    """Per threshold, restrict to sets with at most that many reds, cover blue
+    greedily, and keep the best (reds, set count, sorted labels) key, or None
+    if no threshold admits a cover.  Skips have one red: from threshold 1 on
+    they are eligible and every blue is within reach.
+    """
+    red_counts = [(mask & red).bit_count() for mask in masks]
+    best = None
+    for tau in _thresholds(red_counts + ([1] if skips else [])):
+        eligible = [(label, mask) for label, mask, rc in zip(labels, masks, red_counts)
+                    if rc <= tau]
+        live = skips if tau >= 1 else ()
+        if not live:
+            reach = 0
+            for _, mask in eligible:
+                reach |= mask
+            if blue & ~reach:
+                continue
+        chosen, cost = _greedy_pass(eligible, red, blue, live)
+        key = (cost, len(chosen), tuple(sorted(chosen)))
+        if best is None or key < best:
+            best = key
+    return best
 
 
 def solve_rbsc_greedy(instance: RbscInstance) -> CoverSelection:
-    """Threshold-sweep greedy: per threshold, restrict to sets with at most
-    that many reds, cover blue greedily, and keep the best candidate overall.
+    """Threshold-sweep greedy over the sets of a red-blue instance.
 
     Candidates compare by fewest covered reds, then fewest sets, then
     lexicographic label list.  Fully deterministic and invariant under
     permutations of the set list.
     """
     universe = PackedUniverse(instance.red | instance.blue)
-    red = universe.pack(instance.red)
-    blue = universe.pack(instance.blue)
-    labels = [label for label, _ in instance.sets]
     masks = universe.pack_rows([members for _, members in instance.sets])
-    red_counts = [(mask & red).bit_count() for mask in masks]
-    best = None
-    for tau in _thresholds(red_counts):
-        eligible = [(label, mask) for label, mask, rc in zip(labels, masks, red_counts)
-                    if rc <= tau]
-        reach = 0
-        for _, mask in eligible:
-            reach |= mask
-        if blue & ~reach:
-            continue
-        chosen, covered = _greedy_pass(eligible, red, blue)
-        key = ((covered & red).bit_count(), len(chosen), tuple(sorted(chosen)))
-        if best is None or key < best:
-            best = key
+    best = _sweep([label for label, _ in instance.sets], masks,
+                  universe.pack(instance.red), universe.pack(instance.blue), ())
     if best is None:  # the last threshold admits every set
         missing = min(instance.blue.difference(*(members for _, members in instance.sets)),
                       key=str)
@@ -214,10 +253,25 @@ def solve_rbsc_greedy(instance: RbscInstance) -> CoverSelection:
 
 
 def solve_pnpsc_approx(instance: PnpscInstance) -> CoverSelection:
-    """Reduce to red-blue, run the greedy, drop skip sets, recost on the original."""
-    cover = solve_rbsc_greedy(pnpsc_to_rbsc(instance))
-    original = {label for label, _ in instance.sets}
-    chosen = tuple(label for label in cover.chosen if label in original)
+    """The red-blue greedy on `pnpsc_to_rbsc(instance)` with the skip sets
+    kept implicit; skip labels are dropped and the rest recosted here.
+
+    It takes the same steps as on the explicit sets.  While p is uncovered,
+    skip set {p, marker} has key (ratio 1, one new blue, label), since its
+    marker is in no other set.  Taking it covers p alone, which never lowers
+    another set's key.  So skips that beat a scan's best key, taken lowest
+    label first, still beat every set after each other, and only the rule
+    sets are ever scanned; a rule taken can lower others' new reds, so a
+    rescan follows it.
+    """
+    labels = [label for label, _ in instance.sets]
+    universe = PackedUniverse(instance.positive | instance.negative)
+    skips = [(label, 1 << universe.index[p]) for label, _, p in _skips(instance)]
+    masks = universe.pack_rows([members for _, members in instance.sets])
+    _, _, chosen = _sweep(labels, masks, universe.pack(instance.negative),
+                          universe.pack(instance.positive), skips)
+    original = set(labels)
+    chosen = tuple(label for label in chosen if label in original)
     return CoverSelection(chosen=chosen, cost=instance.cost(chosen))
 
 

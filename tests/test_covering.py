@@ -8,6 +8,7 @@ from ruleselect import (
     Instance,
     PnpscInstance,
     RbscInstance,
+    ValidationError,
     build_pnpsc,
     build_rbsc,
     compute_errors,
@@ -320,3 +321,84 @@ def test_greedy_matches_reference_greedy(seed):
             solve_rbsc_greedy(RbscInstance(red=red, blue=blue, sets=sets))
     cover = solve_pnpsc_approx(PnpscInstance(positive=blue, negative=red, sets=sets))
     assert (cover.chosen, cover.cost) == reference_pnpsc_approx(blue, red, sets)
+
+
+def test_pnpsc_approx_rescans_after_a_rule_between_skips():
+    # skip(p0) beats every rule; then the rule "skip(p0)x" (one new red, one
+    # new blue) wins on label over skip(p1) and covers n0, which lowers b's
+    # new-red/new-blue ratio to 2/2, so b beats skip(p1).  A pass that kept
+    # taking skips after "skip(p0)x" without a rescan would miss b.
+    inst = PnpscInstance(
+        positive=frozenset({"p0", "p1", "p5", "p6", "p7"}),
+        negative=frozenset({"n0", "n1", "n2"}),
+        sets=(("skip(p0)x", frozenset({"p5", "n0"})),
+              ("b", frozenset({"n0", "n1", "n2", "p6", "p7"}))))
+    cover = solve_pnpsc_approx(inst)
+    assert cover.chosen == ("b", "skip(p0)x") and cover.cost == 5
+    assert (cover.chosen, cover.cost) == reference_pnpsc_approx(inst.positive, inst.negative,
+                                                                inst.sets)
+
+
+def test_pnpsc_approx_takes_skips_in_label_order():
+    # "skip(p!)" < "skip(p!)x" < "skip(p)", though "p" < "p!": the skip of p!
+    # beats the rule, which then adds no blue.  Taking skips in positive order
+    # would try skip(p) first, lose to the rule and take it.
+    inst = PnpscInstance(positive=frozenset({"p", "p!"}), negative=frozenset({"n0"}),
+                         sets=(("skip(p!)x", frozenset({"p!", "n0"})),))
+    cover = solve_pnpsc_approx(inst)
+    assert cover.chosen == () and cover.cost == 2
+    assert (cover.chosen, cover.cost) == reference_pnpsc_approx(inst.positive, inst.negative,
+                                                                inst.sets)
+
+
+@pytest.mark.parametrize("positive, negative, sets", [
+    ({"p0"}, set(), (("skip(p0)", frozenset({"p0"})),)),
+    ({"p0"}, {"skip:p0"}, ()),
+    ({"p0", "skip:p0"}, set(), ()),
+    ({1, "1"}, set(), ()),  # two positives, one text: both would be labelled skip(1)
+])
+def test_skip_ids_must_not_collide(positive, negative, sets):
+    inst = PnpscInstance(positive=frozenset(positive), negative=frozenset(negative), sets=sets)
+    with pytest.raises(ValidationError, match="collides"):
+        pnpsc_to_rbsc(inst)
+    with pytest.raises(ValidationError, match="collides"):
+        solve_pnpsc_approx(inst)
+
+
+# Labels next to the skip labels of positives p0..p29 and p0!..p29!, equal to
+# none of them.  "skip(p1!)" sorts before "skip(p1)" though "p1!" sorts after
+# "p1": skips go in label order, not positive order.
+_NEAR_WIDE_SKIP = ("skip(p", "skip(p0", "skip(p0)0", "skip(p1", "skip(p1)a", "skip(p1!)a",
+                   "skip(p10", "skip(p10)a", "skip(p19)0", "skip(p2", "skip(p2!)(", "skip(p29)z",
+                   "skip(p3)!", "skip(p3!)x", "skip(p9)~", "skip)", "skip(q)", "skio", "r1")
+
+
+def _wide_system(seed):
+    """Up to 30 positives p* and p*!, 30 negatives n* and 14 sets, labelled
+    mostly next to the skip labels, at mixed densities."""
+    import random
+
+    rng = random.Random(seed)
+    names = [name for i in range(30) for name in (f"p{i}", f"p{i}!")[:rng.choice((1, 1, 2))]]
+    positives = names[:rng.randrange(31)]
+    negatives = [f"n{i}" for i in range(rng.randrange(31))]
+    n_sets = rng.randrange(15)
+    labels = rng.sample(_NEAR_WIDE_SKIP + tuple(f"s{i}" for i in range(n_sets)), n_sets)
+    sets = []
+    for label in labels:
+        density = rng.choice((0.05, 0.2, 0.5))
+        sets.append((label, frozenset(x for x in positives + negatives
+                                      if rng.random() < density)))
+    return frozenset(positives), frozenset(negatives), tuple(sets)
+
+
+@given(st.integers(min_value=0, max_value=10**9))
+@settings(max_examples=200)
+def test_pnpsc_approx_matches_the_explicit_reduction_on_wide_systems(seed):
+    positive, negative, sets = _wide_system(seed)
+    inst = PnpscInstance(positive=positive, negative=negative, sets=sets)
+    cover = solve_pnpsc_approx(inst)
+    assert (cover.chosen, cover.cost) == reference_pnpsc_approx(positive, negative, sets)
+    explicit = solve_rbsc_greedy(pnpsc_to_rbsc(inst))
+    labels = {label for label, _ in sets}
+    assert cover.chosen == tuple(label for label in explicit.chosen if label in labels)
