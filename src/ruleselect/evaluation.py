@@ -12,20 +12,22 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from operator import itemgetter
+from typing import Iterable, Optional
 
 from .model import (
     BuiltinAtom,
     DataExample,
     ErrorReport,
     EvaluationError,
-    Fact,
     Instance,
+    RelationalAtom,
     Rule,
     RuleSet,
     Selection,
     ValidationError,
     check_selection,
+    checked_fact,
     display_var,
     literal,
 )
@@ -65,11 +67,6 @@ BUILTINS: dict = {
 }
 
 
-def _eval_builtin(atom: BuiltinAtom, binding: dict) -> bool:
-    vals = tuple(binding[t.var] if t.is_var else t.const for t in atom.terms)
-    return BUILTINS[atom.name](vals, atom.threshold)
-
-
 def _pick_next_atom(remaining, bound, premise: Instance):
     # Most already-bound variables; tie-break smaller relation, then premise order.
     best = None
@@ -81,13 +78,26 @@ def _pick_next_atom(remaining, bound, premise: Instance):
     return best[1], best[2]
 
 
-def eval_rule(rule: Rule, premise: Instance) -> frozenset:
+def _picker(positions: list):
+    """A function from a tuple to the tuple of its items at `positions` (one or more)."""
+    if len(positions) == 1:
+        (i,) = positions
+        return lambda t: (t[i],)
+    return itemgetter(*positions)
+
+
+def eval_rule(rule: Rule, premise: Instance, interned: Optional[dict] = None) -> frozenset:
     """All conclusion facts derivable from the premise instance via this rule.
 
     Join order is greedy: at each step the unprocessed relational atom with
     the most already-bound variables is joined next (ties: smallest relation,
     then premise order), via the premise's shared index on its bound
     positions.  Builtins are applied as soon as all their variables are bound.
+
+    A binding is a tuple: the rule's constants, one slot per occurrence, then
+    the variables in the order the join binds them.  `interned` (head
+    relation -> {arguments: fact}) lets the rules of one list share their
+    conclusion facts; `EvalCache` passes one for the whole list.
     """
     unsafe = rule.unsafe_variables()
     if unsafe:
@@ -103,59 +113,88 @@ def eval_rule(rule: Rule, premise: Instance) -> frozenset:
                 f"rule {rule.name}: {atom.relation} has arity {arity}, "
                 f"atom uses {len(atom.terms)}")
 
-    bindings = [{}]
-    bound: set = set()
-    remaining = list(enumerate(rule.relational_atoms()))
-    pending = list(rule.builtin_atoms())
+    # Each term as a reference: a constant's slot (int) or a variable's name.
+    constants: list = []
+
+    def refs(atom) -> list:
+        out = []
+        for t in atom.terms:
+            if t.is_var:
+                out.append(t.var)
+            else:
+                out.append(len(constants))
+                constants.append(t.const)
+        return out
+
+    premise_refs = [refs(a) for a in rule.premise]
+    head_refs = refs(rule.head)
+    slot: dict = {}  # variable -> its slot in a binding
+
+    def slots(terms: list) -> list:
+        return [ref if isinstance(ref, int) else slot[ref] for ref in terms]
+
+    bindings = [tuple(constants)]
+    remaining = [(pos, a) for pos, a in enumerate(rule.premise) if isinstance(a, RelationalAtom)]
+    pending = [(pos, a) for pos, a in enumerate(rule.premise) if isinstance(a, BuiltinAtom)]
 
     def apply_ready_builtins():
         nonlocal bindings, pending
         still = []
-        for atom in pending:
-            if set(atom.variables()) <= bound:
-                bindings = [b for b in bindings if _eval_builtin(atom, b)]
+        for pos, atom in pending:
+            if all(v in slot for v in atom.variables()):
+                values = _picker(slots(premise_refs[pos]))
+                holds, threshold = BUILTINS[atom.name], atom.threshold
+                bindings = [b for b in bindings if holds(values(b), threshold)]
             else:
-                still.append(atom)
+                still.append((pos, atom))
         pending = still
 
     apply_ready_builtins()
     while remaining and bindings:
-        pos, atom = _pick_next_atom(remaining, bound, premise)
+        pos, atom = _pick_next_atom(remaining, slot.keys(), premise)
         remaining = [(p, a) for p, a in remaining if p != pos]
 
         fixed = []     # positions matched against the index key
-        free = []      # positions binding new variables
-        for i, t in enumerate(atom.terms):
-            if t.is_var and t.var not in bound:
-                free.append((i, t.var))
-            else:
+        fresh = []     # positions binding new variables
+        repeats = []   # (first position, later position) of a new variable
+        first: dict = {}
+        for i, ref in enumerate(premise_refs[pos]):
+            if isinstance(ref, int) or ref in slot:
                 fixed.append(i)
-        index = premise.lookup(atom.relation, tuple(fixed))
+            elif ref in first:
+                repeats.append((first[ref], i))
+            else:
+                first[ref] = i
+                fresh.append(i)
 
-        new_bindings = []
-        for b in bindings:
-            key = tuple(
-                b[atom.terms[i].var] if atom.terms[i].is_var else atom.terms[i].const
-                for i in fixed)
-            for f in index.get(key, ()):
-                ext = dict(b)
-                ok = True
-                for i, name in free:
-                    v = f.args[i]
-                    if name in ext and ext[name] != v:
-                        ok = False
-                        break
-                    ext[name] = v
-                if ok:
-                    new_bindings.append(ext)
-        bindings = new_bindings
-        bound |= {v for _, v in free}
+        if fixed:
+            index = premise.lookup(atom.relation, tuple(fixed))
+            key = itemgetter(*slots([premise_refs[pos][i] for i in fixed]))
+            matches = [(b, f.args) for b in bindings for f in index.get(key(b), ())]
+        else:
+            bucket = premise.bucket(atom.relation)
+            matches = [(b, f.args) for b in bindings for f in bucket]
+        if repeats:
+            matches = [(b, a) for b, a in matches if all(a[i] == a[j] for i, j in repeats)]
+        if fresh:
+            new = _picker(fresh)
+            bindings = [b + new(a) for b, a in matches]
+        else:
+            bindings = [b for b, _ in matches]
+        for name in first:
+            slot[name] = len(constants) + len(slot)
         apply_ready_builtins()
 
+    if not bindings:
+        return frozenset()
+    relation = rule.head.relation
+    known = {} if interned is None else interned.setdefault(relation, {})
     out = set()
-    for b in bindings:
-        args = tuple(b[t.var] if t.is_var else t.const for t in rule.head.terms)
-        out.add(Fact(rule.head.relation, args))
+    for args in map(_picker(slots(head_refs)), bindings):
+        f = known.get(args)
+        if f is None:
+            f = known[args] = checked_fact(relation, args)
+        out.add(f)
     return frozenset(out)
 
 
@@ -169,7 +208,8 @@ class EvalCache:
     __slots__ = ("per_rule", "union")
 
     def __init__(self, rules: RuleSet, premise: Instance):
-        self.per_rule = {r.name: eval_rule(r, premise) for r in rules.rules}
+        interned: dict = {}  # the rules share each conclusion fact they derive
+        self.per_rule = {r.name: eval_rule(r, premise, interned) for r in rules.rules}
         self.union = frozenset().union(*self.per_rule.values()) if self.per_rule else frozenset()
 
     def eval_selection(self, selection: Selection) -> frozenset:

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from decimal import Decimal
-from operator import attrgetter
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 
 
@@ -75,20 +75,46 @@ def literal(v) -> str:
     return str(v)
 
 
-@dataclass(frozen=True)
 class Fact:
-    """One tuple of a named relation; facts have set semantics inside an Instance."""
+    """One tuple of a named relation; facts have set semantics inside an Instance.
 
-    relation: str
-    args: tuple
+    Immutable, and its hash is computed once, at construction: facts are
+    hashed on every set operation of evaluation, error counting and packing.
+    """
 
-    def __post_init__(self):
-        if not self.relation:
+    __slots__ = ("relation", "args", "_hash")
+
+    def __init__(self, relation: str, args: tuple):
+        if not relation:
             raise ValidationError("fact needs a relation name")
-        if not isinstance(self.args, tuple):
-            raise ValidationError(f"fact arguments must be a tuple, not {type(self.args).__name__}")
-        for a in self.args:
+        if not isinstance(args, tuple):
+            raise ValidationError(f"fact arguments must be a tuple, not {type(args).__name__}")
+        for a in args:
             check_constant(a)
+        _set_relation(self, relation)
+        _set_args(self, args)
+        _set_hash(self, hash((relation, args)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: facts are immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: facts are immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not Fact:
+            return NotImplemented
+        return (self._hash == other._hash and self.relation == other.relation
+                and self.args == other.args)
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return Fact, (self.relation, self.args)
+
+    def __repr__(self):
+        return f"Fact(relation={self.relation!r}, args={self.args!r})"
 
     def sort_key(self):
         # Numbers before texts; numbers numerically, texts by code point.
@@ -99,15 +125,34 @@ class Fact:
         return f"{self.relation}({', '.join(map(literal, self.args))})"
 
 
+# The slots' own setters, which `Fact.__setattr__` does not guard.
+_set_relation = Fact.relation.__set__
+_set_args = Fact.args.__set__
+_set_hash = Fact._hash.__set__
+_new_object = object.__new__
+
+
+def checked_fact(relation: str, args: tuple) -> Fact:
+    """A `Fact` from a relation name and a tuple of constants that were
+    already checked (parsed literals, premise values, rule constants): it
+    skips the checks of `Fact(...)`."""
+    f = _new_object(Fact)
+    _set_relation(f, relation)
+    _set_args(f, args)
+    _set_hash(f, hash((relation, args)))
+    return f
+
+
 def fact(relation: str, *args) -> Fact:
     """Convenience constructor: `fact("R", "a", 1)` is `Fact("R", ("a", 1))`."""
     return Fact(relation, args)
 
 
 def _grouped(facts, key: Callable) -> dict:
+    # key(f.args) -> the facts f that have it
     groups: dict = {}
     for f in facts:
-        groups.setdefault(key(f), []).append(f)
+        groups.setdefault(key(f.args), []).append(f)
     return {k: tuple(fs) for k, fs in groups.items()}
 
 
@@ -125,21 +170,27 @@ class Instance:
 
     def __init__(self, schema: Mapping[str, int], facts: Iterable[Fact]):
         self.schema = dict(schema)
-        self.facts = frozenset(facts)
-        # None -> {relation: facts}; (relation, positions) -> {values there: facts};
-        # a rule list's canonical text -> its per-rule outputs (`evaluation.evaluated`)
-        self._derived: dict = {}
         for name, arity in self.schema.items():
             if arity < 1:
                 raise ValidationError(f"relation {name} has arity {arity} < 1")
+        self.facts = frozenset(facts)
+        # One pass over the facts checks each arity and fills the buckets.
+        buckets: dict = {}
         for f in self.facts:
-            arity = self.schema.get(f.relation)
-            if arity is None:
-                raise ValidationError(f"fact over undeclared relation {f.relation}")
-            if arity != len(f.args):
+            rel = f.relation
+            bucket = buckets.get(rel)
+            if bucket is None:
+                if rel not in self.schema:
+                    raise ValidationError(f"fact over undeclared relation {rel}")
+                bucket = buckets[rel] = []
+            if len(f.args) != self.schema[rel]:
                 raise ValidationError(
-                    f"fact {f.relation}/{len(f.args)} does not match declared arity {arity}"
+                    f"fact {rel}/{len(f.args)} does not match declared arity {self.schema[rel]}"
                 )
+            bucket.append(f)
+        # None -> {relation: facts}; (relation, positions) -> {values there: facts};
+        # a rule list's canonical text -> its per-rule outputs (`evaluation.evaluated`)
+        self._derived: dict = {None: {rel: tuple(fs) for rel, fs in buckets.items()}}
 
     @classmethod
     def empty(cls, schema: Optional[Mapping[str, int]] = None):
@@ -154,16 +205,14 @@ class Instance:
 
     def bucket(self, name: str) -> tuple:
         """The facts of one relation, in a fixed order; empty when it has none."""
-        buckets = self.derived(None, lambda: _grouped(self.facts, attrgetter("relation")))
-        return buckets.get(name, ())
+        return self._derived[None].get(name, ())
 
     def lookup(self, name: str, positions: tuple) -> dict:
-        """Hash index of one relation on the given argument positions:
-        tuple of the values there -> facts carrying them."""
-        if not positions:
-            return {(): self.bucket(name)}
+        """Hash index of one relation on one or more argument positions:
+        `itemgetter(*positions)` of a fact's arguments (the value there for
+        one position, the tuple of values for several) -> facts carrying it."""
         return self.derived((name, positions), lambda: _grouped(
-            self.bucket(name), lambda f: tuple([f.args[i] for i in positions])))
+            self.bucket(name), itemgetter(*positions)))
 
     def __len__(self):
         return len(self.facts)

@@ -28,6 +28,7 @@ from .model import (
     RuleSet,
     Term,
     ValidationError,
+    checked_fact,
     literal,
     validate,
 )
@@ -335,13 +336,10 @@ _CONST_RE = re.compile(f"({_STRING})|({_NUMBER})")
 _ESCAPE_RE = re.compile(r"\\(.)")
 
 
-def _fast_fact_line(raw: str) -> Optional[Fact]:
-    """The fact on a line of the common shape; None when the lexer must decide."""
-    m = _FACT_LINE_RE.fullmatch(raw)
-    if m is None:
-        return None
+def _fast_args(arg_text: str) -> Optional[tuple]:
+    """The constants of a fast-path argument list; None when the lexer must decide."""
     args = []
-    for quoted, number in _CONST_RE.findall(m.group(2)):
+    for quoted, number in _CONST_RE.findall(arg_text):
         if quoted:
             text = quoted[1:-1]
             if "\\" in text:
@@ -354,7 +352,24 @@ def _fast_fact_line(raw: str) -> Optional[Fact]:
             if not INT64_MIN <= n <= INT64_MAX:
                 return None
             args.append(n)
-    return Fact(m.group(1), tuple(args))
+    return tuple(args)
+
+
+def _fast_fact(shape: tuple, args_of: dict) -> Optional[Fact]:
+    """The fact of a line of the common shape, given as (relation, argument
+    text); None when the lexer must decide.  `args_of` memoizes argument text
+    -> constants across the lines of one parse."""
+    rel, arg_text = shape
+    args = args_of.get(arg_text)
+    if args is None:
+        args = args_of[arg_text] = _fast_args(arg_text)
+    return None if args is None else checked_fact(rel, args)
+
+
+def _fast_fact_line(raw: str) -> Optional[Fact]:
+    """The fact on a line of the common shape; None when the lexer must decide."""
+    m = _FACT_LINE_RE.fullmatch(raw)
+    return None if m is None else _fast_fact(m.groups(), {})
 
 
 def _parse_fact_line(raw: str, file: str) -> Optional[Fact]:
@@ -406,13 +421,17 @@ def parse_facts(text: str, schema: Optional[Mapping[str, int]] = None,
     """
     seen: dict[str, int] = {}
     facts = []
+    args_of: dict = {}  # one parse's memo, see `_fast_fact`
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        try:
-            f = _parse_fact_line(raw, file)
-        except ParseError as pe:
-            raise ParseError(pe.message, file, lineno, pe.column, raw) from None
+        m = _FACT_LINE_RE.fullmatch(raw)
+        f = m and _fast_fact(m.groups(), args_of)
         if f is None:
-            continue
+            try:
+                f = _lex_fact_line(raw, file)
+            except ParseError as pe:
+                raise ParseError(pe.message, file, lineno, pe.column, raw) from None
+            if f is None:
+                continue
         rel, arity = f.relation, len(f.args)
         if schema is not None:
             declared = schema.get(rel)

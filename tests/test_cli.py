@@ -155,6 +155,27 @@ def test_greedy_and_exact_agree_on_numerically_equal_constants(capsys, tmp_path)
         assert out["error"] == exact["error"] == 1, objective
 
 
+def test_numerically_equal_premise_facts_count_once(capsys, tmp_path):
+    # P(1) and P(1.0) are one premise fact, P("1") another; Out(1) derived by
+    # both rules and Out(1.0) in the truth are one conclusion fact.
+    (tmp_path / "rules.rules").write_text(
+        "rule a: P(x) -> Out(x).\nrule b: P(x), neq(x, 2) -> Out(x).\n")
+    (tmp_path / "premise.facts").write_text('P(1)\nP(1.0)\nP("1")\n')
+    (tmp_path / "truth.facts").write_text('Out(1.0)\nOut("2")\n')
+    files = ["--rules", str(tmp_path / "rules.rules"),
+             "--premise", str(tmp_path / "premise.facts"),
+             "--truth", str(tmp_path / "truth.facts")]
+    code, out, err = run(capsys, ["eval"] + files)
+    assert code == 0 and err is None
+    del out["runtime_ms"]
+    assert out == {"command": "eval", "selected_rules": ["a", "b"],
+                   "fp_count": 1, "fn_count": 1, "error": 2, "size": 3}
+    code, out, err = run(capsys, ["check-feasible"] + files)
+    assert code == 0 and err is None
+    del out["runtime_ms"]
+    assert out == {"command": "check-feasible", "feasible": False, "missing": ['Out("2")']}
+
+
 def test_exit_code_capacity(capsys, f1_files):
     code, _, err = run(capsys, ["select", "--objective", "fpfn", "--method", "exact",
                                 "--max-rules", "2"] + f1_files)

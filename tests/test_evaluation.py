@@ -49,6 +49,17 @@ def test_eval_rule_path_join():
     assert out == frozenset({fact("F", 1, 3)})
 
 
+def test_join_that_empties_before_the_head_is_bound():
+    # Q is the smallest relation, so it binds y first; no R(_, 5) leaves no
+    # binding before x, the head's variable, is bound.
+    (rule,) = parse_rules("rule o: Q(y), R(x, y), P(x) -> Out(x).").rules
+    schema = {"P": 1, "Q": 1, "R": 2}
+    premise = parse_facts("Q(5)\nP(1)\nP(2)\nR(1, 2)\nR(2, 3)", schema=schema)
+    assert eval_rule(rule, premise) == frozenset() == naive_eval_rule(rule, premise)
+    premise = parse_facts("Q(5)\nP(1)\nP(2)\nR(1, 5)\nR(2, 3)", schema=schema)
+    assert eval_rule(rule, premise) == {fact("Out", 1)} == naive_eval_rule(rule, premise)
+
+
 def test_eval_rule_empty_premise(f1):
     rules, _ = f1
     empty = Instance({"Set1": 1, "Set2": 1, "Set3": 1}, ())
@@ -79,9 +90,9 @@ def test_evaluation_is_memoized_per_premise(monkeypatch):
     calls = []
     real_eval_rule = evaluation.eval_rule
 
-    def counting_eval_rule(rule, premise):
+    def counting_eval_rule(rule, premise, *interned):
         calls.append(rule.name)
-        return real_eval_rule(rule, premise)
+        return real_eval_rule(rule, premise, *interned)
 
     monkeypatch.setattr(evaluation, "eval_rule", counting_eval_rule)
     compute_errors(rules, {"r1"}, example)
@@ -245,11 +256,18 @@ RULE_CORPUS = [
     'rule h: P(x), Q(y), jaccard_geq(x, y, 0.5) -> Pair(x,y).',
     'rule i: R(_, y) -> Out(y).',
     'rule j: R(x, 2), P(x) -> Out(x).',
+    'rule k: P(x) -> Pair(x, "k").',
+    'rule l: R(x, y), R(y, x) -> Pair(x, y).',
+    'rule m: P(x), R(y, y), neq(x, y) -> Pair(x, y).',
+    'rule n: R(x, y), R(y, z), R(z, w) -> Pair(x, w).',
+    'rule o: Q(y), R(x, y), P(x) -> Out(x).',
+    'rule p: Q(x) -> Mark(x).',
 ]
 
 
 # Every corpus rule runs on one premise, in drawn order, so the rules share
-# (and first build) the premise's index in varying orders.
+# (and first build) the premise's index in varying orders; then the whole
+# list runs at once, so they also share their conclusion facts.
 @given(st.integers(min_value=0, max_value=10**6),
        st.permutations(RULE_CORPUS))
 def test_eval_rule_matches_naive_oracle(seed, rule_texts):
@@ -263,9 +281,12 @@ def test_eval_rule_matches_naive_oracle(seed, rule_texts):
             args = ", ".join(rng.choice(consts) for _ in range(arity))
             lines.append(f"{rel}({args})")
     premise = parse_facts("\n".join(lines), schema={"P": 1, "Q": 1, "R": 2})
+    expected = {}
     for rule_text in rule_texts:
         (rule,) = parse_rules(rule_text).rules
-        assert eval_rule(rule, premise) == naive_eval_rule(rule, premise), rule_text
+        expected[rule.name] = naive_eval_rule(rule, premise)
+        assert eval_rule(rule, premise) == expected[rule.name], rule_text
+    assert evaluated(parse_rules("\n".join(rule_texts)), premise).per_rule == expected
 
 
 def test_concurrent_evaluation_shares_one_index():

@@ -1,3 +1,4 @@
+import pickle
 from decimal import Decimal
 
 import pytest
@@ -20,12 +21,36 @@ from ruleselect import (
     validate,
     var,
 )
+from ruleselect.model import checked_fact
 
 
 def test_fact_equality_is_strict_across_kinds():
     assert fact("R", "1") != fact("R", 1)
     assert fact("R", 1) == fact("R", Decimal("1.0"))
     assert hash(fact("R", 1)) == hash(fact("R", Decimal("1")))
+
+
+def test_fact_stored_hash_keeps_value_equality():
+    one, one_decimal, text = Fact("R", (1,)), Fact("R", (Decimal("1.0"),)), Fact("R", ("1",))
+    assert one == one_decimal and hash(one) == hash(one_decimal)
+    assert len(frozenset([one, one_decimal])) == 1
+    assert text != one and text != one_decimal
+    assert len(frozenset([one, one_decimal, text])) == 2
+    assert Fact("S", (1,)) != one
+    assert checked_fact("R", (1,)) == one and hash(checked_fact("R", (1,))) == hash(one)
+    assert (repr(one_decimal), str(one_decimal)) == (
+        "Fact(relation='R', args=(Decimal('1.0'),))", "R(1.0)")
+    assert pickle.loads(pickle.dumps(one_decimal)) == one_decimal
+
+
+@pytest.mark.parametrize("name", ["relation", "args", "_hash", "other"])
+def test_fact_is_immutable(name):
+    f = fact("R", 1)
+    with pytest.raises(AttributeError):
+        setattr(f, name, 2)
+    with pytest.raises(AttributeError):
+        delattr(f, name)
+    assert (f.relation, f.args, hash(f)) == ("R", (1,), hash(fact("R", 1)))
 
 
 def test_fact_ordering_numbers_before_texts():
@@ -75,6 +100,15 @@ def test_fact_set_semantics():
 def test_instance_rejects_arity_mismatch():
     with pytest.raises(ValidationError):
         Instance({"B": 2}, [fact("B", "u1")])
+
+
+def test_instance_buckets_hold_each_fact_once():
+    inst = Instance({"B": 1, "C": 1},
+                    [fact("B", 1), fact("B", Decimal("1.0")), fact("B", "1"), fact("B", 1)])
+    assert sorted(map(str, inst.bucket("B"))) == ['B("1")', "B(1)"]
+    assert inst.bucket("C") == () and inst.bucket("D") == ()
+    with pytest.raises(ValidationError, match="undeclared relation D"):
+        Instance({"B": 1}, [fact("B", 1), fact("D", 1)])
 
 
 def test_rule_size_single_atom():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ruleselect import (
+    Instance,
     ParseError,
     ValidationError,
     parse_facts,
@@ -216,3 +217,50 @@ def test_canonical_fact_lines_take_the_fast_path():
         assert _fast_fact_line(raw) is not None, raw
         assert repr(_fast_fact_line(raw)) == _outcome(_lex_fact_line, raw)
     assert _fast_fact_line(f"N({2**63})") is None  # out of range: the lexer reports it
+
+
+def _file_outcome(text):
+    try:
+        return parse_facts(text)
+    except ParseError as e:
+        return (e.message, e.line, e.column, e.snippet)
+
+
+def _line_by_line(text):
+    """`_file_outcome` rebuilt from `_parse_fact_line`, one line at a time."""
+    arities, facts = {}, []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        try:
+            f = _parse_fact_line(raw, "<facts>")
+        except ParseError as e:
+            return (e.message, lineno, e.column, raw)
+        if f is None:
+            continue
+        known = arities.setdefault(f.relation, len(f.args))
+        if known != len(f.args):
+            return (f"relation {f.relation} used with arities {known} and {len(f.args)}",
+                    lineno, 1, raw)
+        facts.append(f)
+    return Instance(arities, facts)
+
+
+# Lines of the fast path's shape whose argument lists often repeat.
+_COMMON_LINES = st.builds(
+    lambda blank, constant: f"{blank}A({constant}){blank}",
+    _BLANKS,
+    st.one_of(
+        st.text(alphabet=st.sampled_from('ab "\\é'), max_size=3).map(_quote),
+        st.integers(min_value=-3, max_value=3).map(str),
+        st.sampled_from(["1.0", "1.00", "-0", str(2**63 - 1), str(2**63), str(-2**63 - 1)])))
+
+
+@settings(max_examples=300)
+@given(st.lists(st.one_of(_COMMON_LINES, _COMMON_LINES, _COMMON_LINES, _fact_lines()),
+                max_size=10))
+@example(["A(1)", "A(12)", "A(1)", "A(1.0)", 'A("1")'])
+@example(["A(1)", f"A({2**63})", f"A({2**63})"])
+def test_parse_facts_agrees_with_line_by_line(lines):
+    # parse_facts reads each distinct argument list once per call, and a
+    # file must still parse as its lines do one at a time.
+    text = "\n".join(lines)
+    assert _file_outcome(text) == _line_by_line(text)
