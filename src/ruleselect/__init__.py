@@ -72,14 +72,8 @@ __version__ = "0.1.0"
 # The exact solvers need numpy, whose import costs more than a whole greedy
 # or evaluation call; their names load on first use.
 _EXACT_NAMES = frozenset({
-    "BilevelResult",
     "ExactConfig",
-    "FrontResult",
     "bilevel_optimum",
-    "decision_bound",
-    "decision_exact_value",
-    "is_bilevel_optimal",
-    "is_pareto_optimal",
     "pareto_front",
     "pareto_membership",
     "solve_exact",

@@ -58,8 +58,6 @@ def _size_profile(rule_masks, sizes, j_mask, fp_only):
     the remaining rules pick the block's base union, in ascending mask order.
     """
     n, w = rule_masks.shape
-    if n > MAX_RULES:
-        raise ValueError(f"subset masks limited to {MAX_RULES} rules")
     if (1 << n) * w > MAX_WORD_VISITS:
         raise CapacityError(
             f"enumerating 2^{n} subsets over {w} fact words is {(1 << n) * w:,} word "

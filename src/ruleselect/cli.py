@@ -121,11 +121,7 @@ def _load(args):
     rules = parse_rules(Path(args.rules).read_text(encoding="utf-8"), file=args.rules)
     limits = _parse_limits(args.limits)
     if limits is not None:
-        report = validate(rules, limits)
-        if not report.ok:
-            v = report.violations[0]
-            where = f"rule {v.rule}: " if v.rule else ""
-            raise ValidationError(where + v.reason)
+        validate(rules, limits)
     premise = parse_facts(Path(args.premise).read_text(encoding="utf-8"),
                           schema=rules.premise_schema, file=args.premise)
     truth = parse_facts(Path(args.truth).read_text(encoding="utf-8"),
@@ -193,7 +189,7 @@ def _cmd_pareto(args) -> dict:
 
     rules, example = _load(args)
     front = exact.pareto_front(rules, example, _exact_config(args))
-    points = [[p.error, p.size] for p in sorted(front.points, key=lambda p: p.size)]
+    points = [[p.error, p.size] for p in sorted(front, key=lambda p: p.size)]
     return {"command": "pareto", "objective": args.objective, "pareto_points": points}
 
 
@@ -220,9 +216,9 @@ def _cmd_member(args) -> dict:
 
 def _cmd_check_feasible(args) -> dict:
     rules, example = _load(args)
-    feas = check_fp_feasible(rules, example)
-    return {"command": "check-feasible", "feasible": feas.ok,
-            "missing": sorted(map(str, feas.missing))}
+    missing = check_fp_feasible(rules, example)
+    return {"command": "check-feasible", "feasible": not missing,
+            "missing": sorted(map(str, missing))}
 
 
 def _cmd_gen(args) -> dict:

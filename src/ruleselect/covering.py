@@ -99,9 +99,9 @@ def _fact_sets(rules: RuleSet, example: DataExample):
 
 def build_rbsc(rules: RuleSet, example: DataExample) -> RbscInstance:
     """Truth facts become blue, spurious derivable facts red, one set per rule."""
-    feas = check_fp_feasible(rules, example)
-    if not feas.ok:
-        raise InfeasibleError(feas.missing)
+    missing = check_fp_feasible(rules, example)
+    if missing:
+        raise InfeasibleError(missing)
     blue, red, sets = _fact_sets(rules, example)
     return RbscInstance(red=red, blue=blue, sets=sets)
 

@@ -10,7 +10,6 @@ the solvers reads them from there.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 from typing import Iterable, Optional
@@ -42,7 +41,15 @@ def tokenize(text: str) -> frozenset:
 
 
 def _as_text(v) -> str:
-    return v if isinstance(v, str) else literal(v)
+    """A constant's text for tokenizing: text as is, a number by its value
+    (integer digits when integral, else a decimal without trailing zeros),
+    so `2` and `2.0` read alike."""
+    if isinstance(v, str):
+        return v
+    text = literal(v)
+    if "." in text:
+        text = text.rstrip("0").rstrip(".")
+    return "0" if text == "-0" else text
 
 
 def jaccard(x, y) -> Fraction:
@@ -241,13 +248,7 @@ def compute_errors(rules: RuleSet, selection: Iterable[str],
     return ErrorReport(fp=produced - truth, fn=truth - produced)
 
 
-@dataclass(frozen=True)
-class Feasibility:
-    ok: bool
-    missing: frozenset
-
-
-def check_fp_feasible(rules: RuleSet, example: DataExample) -> Feasibility:
-    """Whether the full rule set derives every truth fact (zero-FN is attainable)."""
-    missing = example.truth.facts - evaluated(rules, example.premise).union
-    return Feasibility(ok=not missing, missing=missing)
+def check_fp_feasible(rules: RuleSet, example: DataExample) -> frozenset:
+    """The truth facts the full rule set does not derive: empty exactly when
+    zero-FN is attainable."""
+    return example.truth.facts - evaluated(rules, example.premise).union

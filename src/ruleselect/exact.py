@@ -1,4 +1,4 @@
-"""Exact optimization and decision procedures by exhaustive subset enumeration.
+"""Exact optimization by exhaustive subset enumeration.
 
 All procedures here are exponential-time oracles over at most `max_rules`
 rules: per-rule outputs are bit vectors over the fact universe
@@ -16,7 +16,7 @@ import numpy as np
 
 from . import _kernels
 from ._bitset import PackedUniverse
-from .evaluation import check_fp_feasible, compute_errors, evaluated
+from .evaluation import check_fp_feasible, evaluated
 from .model import (
     CapacityError,
     DataExample,
@@ -25,9 +25,7 @@ from .model import (
     RuleSet,
     Selection,
     ValidationError,
-    check_selection,
     rule_size,
-    ruleset_size,
 )
 
 OBJECTIVES = ("fp", "fpfn")
@@ -45,22 +43,6 @@ class ExactConfig:
             raise ValidationError("max_rules must be positive")
 
 
-@dataclass(frozen=True)
-class FrontResult:
-    """Pareto-optimal (error, size) points, sorted by ascending error."""
-
-    points: tuple
-
-
-@dataclass(frozen=True)
-class BilevelResult:
-    """Minimum error, then minimum size among minimum-error selections."""
-
-    error: int
-    size: int
-    witness: Selection
-
-
 def _prepare(rules: RuleSet, example: DataExample, config: ExactConfig):
     if len(rules) > config.max_rules:
         raise CapacityError(
@@ -69,9 +51,9 @@ def _prepare(rules: RuleSet, example: DataExample, config: ExactConfig):
         raise CapacityError(
             f"{len(rules)} rules exceed the {_kernels.MAX_RULES}-rule limit of subset masks")
     if config.objective == "fp":
-        feas = check_fp_feasible(rules, example)
-        if not feas.ok:
-            raise InfeasibleError(feas.missing)
+        missing = check_fp_feasible(rules, example)
+        if missing:
+            raise InfeasibleError(missing)
     cache = evaluated(rules, example.premise)
     universe = PackedUniverse(cache.union | example.truth.facts)
     rows = universe.pack_rows([cache.per_rule[r.name] for r in rules.rules])
@@ -96,27 +78,6 @@ def solve_exact(rules: RuleSet, example: DataExample,
     return err, _mask_to_selection(rules, mask)
 
 
-def decision_bound(rules: RuleSet, example: DataExample, k: int, objective: str,
-                   config: Optional[ExactConfig] = None) -> bool:
-    """Is there a selection with error at most k?"""
-    config = _with_objective(config, objective)
-    err, _ = solve_exact(rules, example, config)
-    return err <= k
-
-
-def decision_exact_value(rules: RuleSet, example: DataExample, k: int, objective: str,
-                         config: Optional[ExactConfig] = None) -> bool:
-    """Is the optimum error exactly k?"""
-    config = _with_objective(config, objective)
-    err, _ = solve_exact(rules, example, config)
-    return err == k
-
-
-def _with_objective(config: Optional[ExactConfig], objective: str) -> ExactConfig:
-    base = config or ExactConfig()
-    return ExactConfig(max_rules=base.max_rules, objective=objective)
-
-
 def _size_profile(rules: RuleSet, example: DataExample, config: ExactConfig):
     rule_masks, j_mask = _prepare(rules, example, config)
     sizes = np.array([rule_size(r) for r in rules.rules], dtype=np.int64)
@@ -125,8 +86,9 @@ def _size_profile(rules: RuleSet, example: DataExample, config: ExactConfig):
 
 
 def pareto_front(rules: RuleSet, example: DataExample,
-                 config: Optional[ExactConfig] = None) -> FrontResult:
-    """All non-dominated (error, size) pairs with one canonical witness each.
+                 config: Optional[ExactConfig] = None) -> tuple:
+    """All non-dominated (error, size) pairs, as `ParetoPoint`s by ascending
+    error, with one canonical witness each.
 
     Size is the sum of premise-atom counts over the chosen rules.  In "fp"
     mode only zero-FN selections compete.
@@ -145,50 +107,18 @@ def pareto_front(rules: RuleSet, example: DataExample,
                 error=e, size=s,
                 witness=_mask_to_selection(rules, int(witness[s]))))
     points.sort(key=lambda p: p.error)
-    return FrontResult(points=tuple(points))
-
-
-def _candidate_point(rules: RuleSet, example: DataExample, candidate,
-                     config: Optional[ExactConfig]):
-    """The candidate's (error, size), or None when FP mode rules it out (FN > 0)."""
-    sel = check_selection(rules, candidate)
-    report = compute_errors(rules, sel, example)
-    if (config or ExactConfig()).objective == "fp":
-        if report.fn_count != 0:
-            return None
-        err = report.fp_count
-    else:
-        err = report.total
-    return err, ruleset_size(sel, rules)
-
-
-def is_pareto_optimal(rules: RuleSet, example: DataExample, candidate,
-                      config: Optional[ExactConfig] = None) -> bool:
-    """Is the candidate selection strictly dominated by no other selection?"""
-    point = _candidate_point(rules, example, candidate, config)
-    return point is not None and pareto_membership(rules, example, *point, config)
+    return tuple(points)
 
 
 def pareto_membership(rules: RuleSet, example: DataExample, error: int, size: int,
                       config: Optional[ExactConfig] = None) -> bool:
     """Is (error, size) a point of the Pareto front?"""
     front = pareto_front(rules, example, config)
-    return any(p.error == error and p.size == size for p in front.points)
+    return any(p.error == error and p.size == size for p in front)
 
 
 def bilevel_optimum(rules: RuleSet, example: DataExample,
-                    config: Optional[ExactConfig] = None) -> BilevelResult:
-    """Minimize error first, then size; the result is always a front point."""
-    front = pareto_front(rules, example, config)
-    best = front.points[0]  # ascending error; front errors are pairwise distinct
-    return BilevelResult(error=best.error, size=best.size, witness=best.witness)
-
-
-def is_bilevel_optimal(rules: RuleSet, example: DataExample, candidate,
-                       config: Optional[ExactConfig] = None) -> bool:
-    """Does the candidate attain the bi-level optimal (error, size) pair?"""
-    point = _candidate_point(rules, example, candidate, config)
-    if point is None:
-        return False
-    opt = bilevel_optimum(rules, example, config)
-    return point == (opt.error, opt.size)
+                    config: Optional[ExactConfig] = None) -> ParetoPoint:
+    """Minimize error first, then size: the front point of least error."""
+    # ascending error; front errors are pairwise distinct
+    return pareto_front(rules, example, config)[0]

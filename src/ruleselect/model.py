@@ -5,7 +5,7 @@ an `Instance` only memoizes values derived from its facts.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
@@ -468,21 +468,6 @@ def display_var(name: str) -> str:
     return "_" if name.startswith("_#") else name
 
 
-@dataclass(frozen=True)
-class Violation:
-    rule: Optional[str]
-    reason: str
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple = field(default_factory=tuple)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
 def rule_size(rule: Rule) -> int:
     """Number of premise atoms, relational and builtin alike."""
     return len(rule.premise)
@@ -494,42 +479,40 @@ def ruleset_size(selection: Iterable[str], rules: RuleSet) -> int:
     return sum(rule_size(rules.rule(name)) for name in sel)
 
 
-def validate(rules: RuleSet, limits: Optional[EvalLimits] = None) -> ValidationReport:
+def validate(rules: RuleSet, limits: Optional[EvalLimits] = None) -> None:
     """Check safety, schema disjointness, and (when given) evaluation limits.
 
-    Returns a report rather than raising, so that every violation can be
-    listed with the offending rule's name.
+    Raises `ValidationError` for the first violation, in rule order, naming
+    the offending rule.
     """
-    violations = []
     overlap = set(rules.premise_schema) & set(rules.conclusion_schema)
     if overlap:
-        violations.append(Violation(None, f"schemas overlap on {sorted(overlap)}"))
+        raise ValidationError(f"schemas overlap on {sorted(overlap)}")
     for r in rules.rules:
+        where = f"rule {r.name}: "
         for a in r.relational_atoms():
             arity = rules.premise_schema.get(a.relation)
             if arity is None:
-                violations.append(Violation(r.name, f"undeclared premise relation {a.relation}"))
+                raise ValidationError(where + f"undeclared premise relation {a.relation}")
             elif arity != len(a.terms):
-                violations.append(Violation(
-                    r.name, f"{a.relation} used with arity {len(a.terms)}, declared {arity}"))
+                raise ValidationError(
+                    where + f"{a.relation} used with arity {len(a.terms)}, declared {arity}")
         arity = rules.conclusion_schema.get(r.head.relation)
         if arity is None:
-            violations.append(Violation(r.name, f"undeclared conclusion relation {r.head.relation}"))
+            raise ValidationError(where + f"undeclared conclusion relation {r.head.relation}")
         elif arity != len(r.head.terms):
-            violations.append(Violation(
-                r.name, f"{r.head.relation} used with arity {len(r.head.terms)}, declared {arity}"))
+            raise ValidationError(
+                where + f"{r.head.relation} used with arity {len(r.head.terms)}, "
+                f"declared {arity}")
         unsafe = r.unsafe_variables()
         if unsafe:
             shown = ", ".join(display_var(v) for v in unsafe)
-            violations.append(Violation(r.name, f"unsafe: {shown} unbound"))
+            raise ValidationError(where + f"unsafe: {shown} unbound")
         if limits is not None:
             if rule_size(r) > limits.max_premise_atoms:
-                violations.append(Violation(
-                    r.name,
-                    f"premise has {rule_size(r)} atoms, limit {limits.max_premise_atoms}"))
+                raise ValidationError(
+                    where + f"premise has {rule_size(r)} atoms, limit {limits.max_premise_atoms}")
             if len(r.head.terms) > limits.max_conclusion_arity:
-                violations.append(Violation(
-                    r.name,
-                    f"conclusion arity {len(r.head.terms)} exceeds limit "
-                    f"{limits.max_conclusion_arity}"))
-    return ValidationReport(tuple(violations))
+                raise ValidationError(
+                    where + f"conclusion arity {len(r.head.terms)} exceeds limit "
+                    f"{limits.max_conclusion_arity}")

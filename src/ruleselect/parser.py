@@ -27,7 +27,6 @@ from .model import (
     Rule,
     RuleSet,
     Term,
-    ValidationError,
     checked_fact,
     literal,
     validate,
@@ -209,11 +208,7 @@ class _RuleParser:
         while self.tok.kind != "eof":
             rules.append(self._ruledef())
         ruleset = RuleSet.infer(rules)
-        report = validate(ruleset)
-        if not report.ok:
-            first = report.violations[0]
-            where = f"rule {first.rule}: " if first.rule else ""
-            raise ValidationError(where + first.reason)
+        validate(ruleset)
         return ruleset
 
     def _ruledef(self) -> Rule:

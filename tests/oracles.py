@@ -38,11 +38,19 @@ def _oracle_tokens(text: str):
 
 
 def _oracle_value_text(v):
-    from decimal import Decimal
-
-    if isinstance(v, Decimal):
-        return format(v, "f")
-    return v if isinstance(v, str) else str(v)
+    """Text as is; a number by its value: the shortest decimal that spells it,
+    with no point when it is integral (so 2 and 2.0 both read "2")."""
+    if isinstance(v, str):
+        return v
+    q = Fraction(v)
+    places = 0
+    while (q * 10**places).denominator != 1:
+        places += 1
+    digits = str(abs(q.numerator) * 10**places // q.denominator).rjust(places + 1, "0")
+    sign = "-" if q < 0 else ""
+    if not places:
+        return sign + digits
+    return f"{sign}{digits[:-places]}.{digits[-places:]}"
 
 
 def _oracle_builtin(atom: BuiltinAtom, env) -> bool:

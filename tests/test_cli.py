@@ -99,6 +99,9 @@ def test_eval_with_selection_evaluates_only_the_selected_rules(capsys, f1_files,
 def test_check_feasible(capsys, f1_files, tmp_path):
     code, out, _ = run(capsys, ["check-feasible"] + f1_files)
     assert code == 0 and out["feasible"] is True and out["missing"] == []
+    (tmp_path / "truth.facts").write_text(F1_TRUTH + 'B("zz")\n')
+    code, out, _ = run(capsys, ["check-feasible"] + f1_files)
+    assert code == 0 and out["feasible"] is False and out["missing"] == ['B("zz")']
 
 
 def test_exit_code_usage(capsys, f1_files):
@@ -216,6 +219,22 @@ def test_exit_code_limits_violation(capsys, f1_files, tmp_path):
     (tmp_path / "truth.facts").write_text("F(1, 2)\n")
     code, _, err = run(capsys, ["eval", "--limits", "1,1"] + f1_files)
     assert code == 1 and err["error"]["code"] == "validation_error"
+    assert err["error"]["message"] == "rule w: premise has 2 atoms, limit 1"
+
+
+def test_jaccard_reads_numbers_by_value(capsys, f1_files, tmp_path):
+    # x binds to 2 or to 2.0 depending on which relation joins first, which an
+    # unrelated P(7) flips; jaccard_geq must read the value "2" either way.
+    (tmp_path / "rules.rules").write_text(
+        'rule a: P(x), Q(x), jaccard_geq(x, "2 0", 1) -> Out(x).\n')
+    (tmp_path / "truth.facts").write_text("Out(2)\n")
+    outs = []
+    for premise in ("P(2)\nQ(2.0)\n", "P(2)\nP(7)\nQ(2.0)\n"):
+        (tmp_path / "premise.facts").write_text(premise)
+        code, out, _ = run(capsys, ["eval"] + f1_files)
+        assert code == 0
+        outs.append((out["fp_count"], out["fn_count"]))
+    assert outs == [(0, 1), (0, 1)]
 
 
 def test_deterministic_json_modulo_runtime(capsys, f1_files):

@@ -9,12 +9,8 @@ from ruleselect import (
     InfeasibleError,
     Instance,
     bilevel_optimum,
-    decision_bound,
-    decision_exact_value,
     evaluated,
     fact,
-    is_bilevel_optimal,
-    is_pareto_optimal,
     pareto_front,
     pareto_membership,
     parse_rules,
@@ -66,30 +62,14 @@ def test_solve_exact_fp_infeasible(f1):
         solve_exact(rules, DataExample(example.premise, bad_truth), FP)
 
 
-def test_decision_bound_f1(f1):
-    rules, example = f1
-    assert decision_bound(rules, example, 2, "fpfn") is True
-    assert decision_bound(rules, example, 1, "fpfn") is False
-    assert decision_bound(rules, example, len(example.truth.facts), "fpfn") is True
-
-
-def test_decision_exact_value_f1(f1):
-    rules, example = f1
-    assert decision_exact_value(rules, example, 2, "fpfn") is True
-    assert decision_exact_value(rules, example, 3, "fpfn") is False
-    none = parse_rules("")
-    ex = DataExample(Instance.empty(), example.truth)
-    assert decision_exact_value(none, ex, 3, "fpfn") is True
-
-
 def test_pareto_front_f1(f1):
     rules, example = f1
     front = pareto_front(rules, example, FPFN)
-    assert [(p.error, p.size) for p in front.points] == [(2, 1), (3, 0)]
-    assert front.points[0].witness == frozenset({"r1"})
-    assert front.points[1].witness == frozenset()
+    assert [(p.error, p.size) for p in front] == [(2, 1), (3, 0)]
+    assert front[0].witness == frozenset({"r1"})
+    assert front[1].witness == frozenset()
     front_fp = pareto_front(rules, example, FP)
-    assert [(p.error, p.size) for p in front_fp.points] == [(2, 2)]
+    assert [(p.error, p.size) for p in front_fp] == [(2, 2)]
 
 
 def test_pareto_front_single_perfect_rule():
@@ -97,14 +77,22 @@ def test_pareto_front_single_perfect_rule():
     premise = Instance({"S": 1}, [fact("S", "u1"), fact("S", "u2")])
     truth = Instance({"B": 1}, [fact("B", "u1"), fact("B", "u2")])
     front = pareto_front(rules, DataExample(premise, truth), FPFN)
-    assert {(p.error, p.size) for p in front.points} == {(0, 1), (2, 0)}
+    assert {(p.error, p.size) for p in front} == {(0, 1), (2, 0)}
 
 
-def test_is_pareto_optimal_f1(f1):
+def candidate_point(rules, example, candidate):
+    """A selection's FP+FN (error, size), by the oracle's own set arithmetic."""
+    fp, fn = subset_fp_fn(evaluated(rules, example.premise).per_rule, candidate,
+                          example.truth.facts)
+    return len(fp) + len(fn), sum(rule_size(rules.rule(n)) for n in candidate)
+
+
+def test_candidate_pareto_optimality_f1(f1):
+    # A selection is Pareto-optimal exactly when its point is on the front.
     rules, example = f1
-    assert is_pareto_optimal(rules, example, {"r1"}, FPFN) is True
-    assert is_pareto_optimal(rules, example, {"r1", "r2"}, FPFN) is False
-    assert is_pareto_optimal(rules, example, frozenset(), FPFN) is True
+    for candidate, optimal in (({"r1"}, True), ({"r1", "r2"}, False), (set(), True)):
+        point = candidate_point(rules, example, candidate)
+        assert pareto_membership(rules, example, *point, FPFN) is optimal, candidate
 
 
 def test_pareto_membership_f1(f1):
@@ -126,11 +114,14 @@ def test_bilevel_f1(f1):
     assert (res0.error, res0.size, res0.witness) == (3, 0, frozenset())
 
 
-def test_is_bilevel_optimal_f1(f1):
+def test_candidate_bilevel_optimality_f1(f1):
+    # A selection is bi-level optimal exactly when it attains the optimum's point.
     rules, example = f1
-    assert is_bilevel_optimal(rules, example, {"r1"}, FPFN) is True
-    assert is_bilevel_optimal(rules, example, {"r2"}, FPFN) is True  # also (2, 1)
-    assert is_bilevel_optimal(rules, example, {"r1", "r2"}, FPFN) is False
+    best = bilevel_optimum(rules, example, FPFN)
+    for candidate, optimal in (({"r1"}, True), ({"r2"}, True),  # r2 also gives (2, 1)
+                               ({"r1", "r2"}, False)):
+        point = candidate_point(rules, example, candidate)
+        assert (point == (best.error, best.size)) is optimal, candidate
 
 
 @given(st.integers(min_value=0, max_value=10**6))
@@ -158,7 +149,7 @@ def test_front_sound_and_complete(seed):
     cache = evaluated(rules, example.premise)
     sizes = {r.name: rule_size(r) for r in rules.rules}
     front = pareto_front(rules, example, FPFN)
-    points = {(p.error, p.size) for p in front.points}
+    points = {(p.error, p.size) for p in front}
     expect, pairs = brute_force_front(
         rules.names(), cache.per_rule, sizes, example.truth.facts, fp_only=False)
     assert points == expect
@@ -170,7 +161,7 @@ def test_front_sound_and_complete(seed):
     for e, s in pairs:
         assert any(fe <= e and fs <= s for fe, fs in points)
     # witnesses realize their points
-    for p in front.points:
+    for p in front:
         fp, fn = subset_fp_fn(cache.per_rule, p.witness, example.truth.facts)
         assert len(fp) + len(fn) == p.error
         assert sum(sizes[n] for n in p.witness) == p.size
@@ -182,21 +173,29 @@ def test_bilevel_on_front_with_min_error(seed):
     rules, example = random_example(seed)
     front = pareto_front(rules, example, FPFN)
     res = bilevel_optimum(rules, example, FPFN)
-    assert (res.error, res.size) in {(p.error, p.size) for p in front.points}
+    assert (res.error, res.size) in {(p.error, p.size) for p in front}
     assert res.error == solve_exact(rules, example, FPFN)[0]
-    assert is_bilevel_optimal(rules, example, res.witness, FPFN)
+    assert res.size == min(p.size for p in front if p.error == res.error)
+    assert candidate_point(rules, example, res.witness) == (res.error, res.size)
 
 
 @given(st.integers(min_value=0, max_value=10**6))
 @settings(max_examples=20)
 def test_decision_procedures_cohere(seed):
+    # The decision versions (some selection has error <= k; the optimum is k),
+    # read off the optimum and off the front, agree with brute force.
     rules, example = random_example(seed, n_sets=4)
     cache = evaluated(rules, example.premise)
     opt, _ = solve_exact(rules, example, FPFN)
+    front_min = min(p.error for p in pareto_front(rules, example, FPFN))
+    sizes = {r.name: rule_size(r) for r in rules.rules}
+    _, pairs = brute_force_front(rules.names(), cache.per_rule, sizes, example.truth.facts,
+                                 fp_only=False)
+    errors = {e for e, _ in pairs}
     hi = len(example.truth.facts) + len(cache.union)
     for k in range(0, hi + 1):
-        assert decision_bound(rules, example, k, "fpfn") == (opt <= k)
-        assert decision_exact_value(rules, example, k, "fpfn") == (opt == k)
+        assert (opt <= k) == (front_min <= k) == any(e <= k for e in errors)
+        assert (opt == k) == (front_min == k) == (min(errors) == k)
 
 
 @given(st.integers(min_value=0, max_value=10**6))
@@ -307,11 +306,13 @@ def test_kernels_across_fact_words():
 
 def test_kernels_refuse_work_past_the_limit():
     # 2^33 subsets of one word each is past the limit, refused before any
-    # allocation; the default 24-rule cap over 256 words stays within it.
+    # allocation, and so is any input past the 62 rules a subset mask holds;
+    # the default 24-rule cap over 256 words stays within it.
     assert (1 << 24) * 256 <= _kernels.MAX_WORD_VISITS
-    masks = np.ones((33, 1), dtype=np.uint64)
-    with pytest.raises(CapacityError, match="word visits"):
-        _kernels.solve_exact_masks(masks, np.ones(1, dtype=np.uint64))
+    for n in (33, 63):
+        masks = np.ones((n, 1), dtype=np.uint64)
+        with pytest.raises(CapacityError, match="word visits"):
+            _kernels.solve_exact_masks(masks, np.ones(1, dtype=np.uint64))
 
 
 def test_exact_witness_is_lowest_mask_not_smallest_front_point():

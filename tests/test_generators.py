@@ -72,7 +72,7 @@ def test_clone_construction_truth_size():
 
 def test_clone_construction_pins_diagonal_front():
     rules, example = rules_from_set_cover_clones(F1_SC)
-    front = {(p.error, p.size) for p in pareto_front(rules, example).points}
+    front = {(p.error, p.size) for p in pareto_front(rules, example)}
     k = brute_force_min_cover(F1_SC.universe, F1_SC.sets)
     assert k == 2
     for kk in range(0, len(F1_SC.sets) + 1):
@@ -120,12 +120,12 @@ def test_indexed_matches_marker_through_greedy_pipeline():
 
 def test_generated_rules_validate_within_limits():
     rules1, _ = rules_from_set_cover(F1_SC)
-    assert validate(rules1, EvalLimits(1, 1)).ok
+    validate(rules1, EvalLimits(1, 1))
     rulesc, _ = rules_from_set_cover_clones(F1_SC)
-    assert validate(rulesc, EvalLimits(1, 1)).ok
+    validate(rulesc, EvalLimits(1, 1))
     rules3, _ = rules_from_set_cover_indexed(F1_SC)
     width = len(F1_SC.sets).bit_length()
-    assert validate(rules3, EvalLimits(2 * width + 2, 1)).ok
+    validate(rules3, EvalLimits(2 * width + 2, 1))
     assert max(rule_size(r) for r in rules3.rules) <= 2 * width + 2
 
 
@@ -177,7 +177,7 @@ def test_random_ruleselect_zero_noise_is_perfect():
 def test_random_ruleselect_rules_validate():
     rules, _ = gen_random_ruleselect(
         GenSeed(seed=3, n_universe=5, n_sets=4, join_rules=2))
-    assert validate(rules, EvalLimits(2, 1)).ok
+    validate(rules, EvalLimits(2, 1))
 
 
 def test_gen_seed_knob_validation():

@@ -41,7 +41,7 @@ def test_parse_error_positions_unclosed_paren():
 
 
 def test_parse_rejects_unsafe_and_overlapping_schemas():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=r"^rule bad: unsafe: y unbound$"):
         parse_rules('rule bad: S(x) -> B(y).')
     with pytest.raises(ValidationError):
         parse_rules('rule a: S(x) -> B(x).\nrule b: B(x) -> C(x).')
