@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -129,14 +130,25 @@ def _load(args):
     return rules, DataExample(premise=premise, truth=truth)
 
 
-# Only the enumeration commands import `exact`, which loads numpy.
-def _exact_config(args):
-    from .exact import ExactConfig
+def _exact():
+    """The `exact` module, imported only by the enumeration commands.
 
+    It loads numpy, whose bundled OpenBLAS starts a thread pool as it loads
+    unless told otherwise.  No ruleselect code calls BLAS, so the CLI process
+    asks for one thread, unless its environment already sets a count.
+    Importing the package as a library leaves the variable alone.
+    """
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    from . import exact
+
+    return exact
+
+
+def _exact_config(args):
     kwargs = {"objective": args.objective}
     if args.max_rules is not None:
         kwargs["max_rules"] = args.max_rules
-    return ExactConfig(**kwargs)
+    return _exact().ExactConfig(**kwargs)
 
 
 def _selection_report(rules: RuleSet, example: DataExample, selection):
@@ -165,9 +177,7 @@ def _cmd_select(args) -> dict:
         raise UsageError("--max-rules applies only to --method exact")
     rules, example = _load(args)
     if args.method == "exact":
-        from . import exact
-
-        err, selection = exact.solve_exact(rules, example, _exact_config(args))
+        err, selection = _exact().solve_exact(rules, example, _exact_config(args))
         body, _ = _selection_report(rules, example, selection)
         return {"command": "select", "objective": args.objective, "method": "exact",
                 **body, "error": err, "optimal": True}
@@ -185,31 +195,24 @@ def _cmd_select(args) -> dict:
 
 
 def _cmd_pareto(args) -> dict:
-    from . import exact
-
     rules, example = _load(args)
-    front = exact.pareto_front(rules, example, _exact_config(args))
+    front = _exact().pareto_front(rules, example, _exact_config(args))
     points = [[p.error, p.size] for p in sorted(front, key=lambda p: p.size)]
     return {"command": "pareto", "objective": args.objective, "pareto_points": points}
 
 
 def _cmd_bilevel(args) -> dict:
-    from . import exact
-
     rules, example = _load(args)
-    result = exact.bilevel_optimum(rules, example, _exact_config(args))
+    result = _exact().bilevel_optimum(rules, example, _exact_config(args))
     body, _ = _selection_report(rules, example, result.witness)
     return {"command": "bilevel", "objective": args.objective, **body,
             "error": result.error, "size": result.size, "optimal": True}
 
 
 def _cmd_member(args) -> dict:
-    from . import exact
-
     rules, example = _load(args)
     e, s = _parse_point(args.point)
-    member = exact.pareto_membership(rules, example, e, s,
-                                     _exact_config(args))
+    member = _exact().pareto_membership(rules, example, e, s, _exact_config(args))
     return {"command": "member", "objective": args.objective,
             "member": member, "point": [e, s]}
 

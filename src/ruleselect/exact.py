@@ -6,6 +6,17 @@ Eval(all rules, I) union J, and one kernel tabulates the least error and its
 lowest subset mask per selection size.  Witnesses are canonical: the first
 optimal subset with rule i (declaration order) at bit i, subsets ordered by
 ascending mask.
+
+In FP mode (zero false negatives) a rule that alone derives some truth fact
+is in every feasible selection, as a blue element that one set alone covers
+forces that set in red-blue set cover (Carr et al., SODA 2000).  These rules
+are fixed before enumerating: the kernel sees only the free rules, over the
+facts outside the forced rules' outputs, and every answer adds back the
+forced rules, their size and their false positives.  The witness stays
+canonical, because every feasible mask holds the forced bits and the free
+rules keep their relative order.  So in FP mode `max_rules` and the kernel's
+limits count the free rules, and the cap is checked after evaluation; FPFN
+mode forces nothing and refuses on the declared rule count before evaluating.
 """
 from __future__ import annotations
 
@@ -43,46 +54,72 @@ class ExactConfig:
             raise ValidationError("max_rules must be positive")
 
 
+def _check_cap(n: int, config: ExactConfig, what: str = "rules"):
+    if n > config.max_rules:
+        raise CapacityError(
+            f"{n} {what} exceed the enumeration cap of {config.max_rules}")
+    if n > _kernels.MAX_RULES:
+        raise CapacityError(
+            f"{n} {what} exceed the {_kernels.MAX_RULES}-rule limit of subset masks")
+
+
+def _forced(rows: list, j: int) -> set:
+    """Indices of the rules that alone derive some truth fact in `j`."""
+    once = twice = 0
+    for row in rows:
+        twice |= once & row
+        once |= row
+    sole = once & ~twice & j
+    return {i for i, row in enumerate(rows) if row & sole}
+
+
 def _prepare(rules: RuleSet, example: DataExample, config: ExactConfig):
-    if len(rules) > config.max_rules:
-        raise CapacityError(
-            f"{len(rules)} rules exceed the enumeration cap of {config.max_rules}")
-    if len(rules) > _kernels.MAX_RULES:
-        raise CapacityError(
-            f"{len(rules)} rules exceed the {_kernels.MAX_RULES}-rule limit of subset masks")
-    if config.objective == "fp":
-        missing = check_fp_feasible(rules, example)
-        if missing:
-            raise InfeasibleError(missing)
+    """Kernel input, and what to add back to each of its answers.
+
+    Returns `(rule_masks, j_mask, free, forced, extra_error)`.  The kernel
+    enumerates the `free` rules over facts outside the forced rules' outputs;
+    every answer also selects the `forced` rules, whose false positives
+    `extra_error` counts.  Only FP mode forces rules.
+    """
+    fp = config.objective == "fp"
+    if not fp:  # the cap counts every rule: refuse before evaluating
+        _check_cap(len(rules), config)
     cache = evaluated(rules, example.premise)
     universe = PackedUniverse(cache.union | example.truth.facts)
     rows = universe.pack_rows([cache.per_rule[r.name] for r in rules.rules])
-    rule_masks = _kernels.as_words(rows, universe.n_words)
-    j_mask = _kernels.as_words([universe.pack(example.truth.facts)], universe.n_words)[0]
-    return rule_masks, j_mask
+    j = universe.pack(example.truth.facts)
+    forced = _forced(rows, j) if fp else set()
+    free = [i for i in range(len(rows)) if i not in forced]
+    if fp:
+        _check_cap(len(free), config, f"free rules (of {len(rules)})")
+        missing = check_fp_feasible(rules, example)
+        if missing:
+            raise InfeasibleError(missing)
+    u_f = 0
+    for i in forced:
+        u_f |= rows[i]
+    rule_masks = _kernels.as_words([rows[i] & ~u_f for i in free], universe.n_words)
+    j_mask = _kernels.as_words([j & ~u_f], universe.n_words)[0]
+    return (rule_masks, j_mask, [rules.rules[i] for i in free],
+            [rules.rules[i] for i in forced], (u_f & ~j).bit_count())
 
 
-def _mask_to_selection(rules: RuleSet, mask: int) -> Selection:
-    return frozenset(r.name for i, r in enumerate(rules.rules) if mask >> i & 1)
+def _selection(free: list, forced: list, mask: int) -> Selection:
+    """The forced rules plus the free rules at the set bits of a kernel mask."""
+    return frozenset([r.name for r in forced]
+                     + [r.name for i, r in enumerate(free) if mask >> i & 1])
 
 
 def solve_exact(rules: RuleSet, example: DataExample,
                 config: Optional[ExactConfig] = None) -> tuple:
     """Optimum error and its canonical witness selection."""
     config = config or ExactConfig()
-    rule_masks, j_mask = _prepare(rules, example, config)
+    rule_masks, j_mask, free, forced, extra = _prepare(rules, example, config)
     err, mask = _kernels.solve_exact_masks(
         rule_masks, j_mask, fp_only=config.objective == "fp")
     if mask < 0:
         raise InfeasibleError(frozenset())  # unreachable given the precondition
-    return err, _mask_to_selection(rules, mask)
-
-
-def _size_profile(rules: RuleSet, example: DataExample, config: ExactConfig):
-    rule_masks, j_mask = _prepare(rules, example, config)
-    sizes = np.array([rule_size(r) for r in rules.rules], dtype=np.int64)
-    return _kernels.size_profile_masks(
-        rule_masks, sizes, j_mask, fp_only=config.objective == "fp")
+    return err + extra, _selection(free, forced, mask)
 
 
 def pareto_front(rules: RuleSet, example: DataExample,
@@ -94,7 +131,11 @@ def pareto_front(rules: RuleSet, example: DataExample,
     mode only zero-FN selections compete.
     """
     config = config or ExactConfig()
-    best_err, witness = _size_profile(rules, example, config)
+    rule_masks, j_mask, free, forced, extra = _prepare(rules, example, config)
+    sizes = np.array([rule_size(r) for r in free], dtype=np.int64)
+    best_err, witness = _kernels.size_profile_masks(
+        rule_masks, sizes, j_mask, fp_only=config.objective == "fp")
+    forced_size = sum(rule_size(r) for r in forced)
     points = []
     best_so_far = None
     for s in range(len(best_err)):  # ascending size; keep strict error improvements
@@ -104,8 +145,8 @@ def pareto_front(rules: RuleSet, example: DataExample,
         if best_so_far is None or e < best_so_far:
             best_so_far = e
             points.append(ParetoPoint(
-                error=e, size=s,
-                witness=_mask_to_selection(rules, int(witness[s]))))
+                error=e + extra, size=s + forced_size,
+                witness=_selection(free, forced, int(witness[s]))))
     points.sort(key=lambda p: p.error)
     return tuple(points)
 

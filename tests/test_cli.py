@@ -213,6 +213,39 @@ def test_exit_code_capacity_past_the_work_limit(capsys, tmp_path, n_rules, cap):
     assert time.perf_counter() - start < 5
 
 
+@pytest.mark.parametrize("n_forced", [26, 70])
+def test_fp_cap_counts_free_rules(capsys, tmp_path, n_forced):
+    # Each rule f<i> alone derives its truth fact, so FP mode fixes it, and
+    # only g1 and g2, which share the one derivation of B("s"), are
+    # enumerated. FPFN forces nothing and refuses on the declared count.
+    rules = [f"rule f{i}: A{i}(x) -> B(x).\n" for i in range(n_forced)]
+    premise = [f'A{i}("t{i}")\n' for i in range(n_forced)]
+    truth = [f'B("t{i}")\n' for i in range(n_forced)] + ['B("s")\n']
+    rules += ["rule g1: G1(x) -> B(x).\n", "rule g2: G2(x) -> B(x).\n"]
+    premise += ['G1("s")\n', 'G1("n1")\n', 'G2("s")\n', 'G2("n2")\n']
+    for name, lines in (("rules.rules", rules), ("premise.facts", premise),
+                        ("truth.facts", truth)):
+        (tmp_path / name).write_text("".join(lines))
+    files = ["--rules", str(tmp_path / "rules.rules"),
+             "--premise", str(tmp_path / "premise.facts"),
+             "--truth", str(tmp_path / "truth.facts")]
+    chosen = sorted([f"f{i}" for i in range(n_forced)] + ["g1"])
+    code, out, _ = run(capsys, ["select", "--method", "exact", "--objective", "fp"] + files)
+    assert code == 0
+    assert (out["selected_rules"], out["error"], out["size"]) == (chosen, 1, n_forced + 1)
+    code, out, _ = run(capsys, ["pareto", "--objective", "fp"] + files)
+    assert code == 0 and out["pareto_points"] == [[1, n_forced + 1]]
+    code, out, _ = run(capsys, ["bilevel", "--objective", "fp"] + files)
+    assert code == 0 and out["selected_rules"] == chosen
+    code, _, err = run(capsys, ["pareto", "--objective", "fp", "--max-rules", "1"] + files)
+    assert code == 3
+    assert err["error"]["message"] == \
+        f"2 free rules (of {n_forced + 2}) exceed the enumeration cap of 1"
+    code, _, err = run(capsys, ["select", "--method", "exact", "--objective", "fpfn"] + files)
+    assert code == 3
+    assert err["error"]["message"] == f"{n_forced + 2} rules exceed the enumeration cap of 24"
+
+
 def test_exit_code_limits_violation(capsys, f1_files, tmp_path):
     (tmp_path / "rules.rules").write_text("rule w: E(x,z), E(z,y) -> F(x,y).\n")
     (tmp_path / "premise.facts").write_text("E(1, 2)\n")
@@ -359,3 +392,29 @@ assert "numpy" in sys.modules
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_runs_openblas_on_one_thread_unless_told_otherwise(f1_files):
+    # The CLI defaults OPENBLAS_NUM_THREADS to 1 before it loads numpy, keeps
+    # a count the caller set, and importing the package leaves it alone.
+    cli_call = f"""
+import os
+from ruleselect.cli import main
+assert main(["select", "--method", "exact", "--objective", "fp"] + {f1_files!r}) == 0
+print(os.environ.get("OPENBLAS_NUM_THREADS"))
+"""
+    library = """
+import os
+import ruleselect, ruleselect.exact
+print(os.environ.get("OPENBLAS_NUM_THREADS"))
+"""
+    src = str(Path(ruleselect.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = src
+    for script, preset, expect in ((cli_call, None, "1"), (cli_call, "3", "3"),
+                                   (library, None, "None")):
+        run_env = env if preset is None else {**env, "OPENBLAS_NUM_THREADS": preset}
+        proc = subprocess.run([sys.executable, "-c", script], env=run_env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split()[-1] == expect, (preset, proc.stdout)

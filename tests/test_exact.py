@@ -17,7 +17,8 @@ from ruleselect import (
     rule_size,
     solve_exact,
 )
-from ruleselect import _kernels
+from ruleselect import _kernels, exact
+from ruleselect._bitset import PackedUniverse
 from ruleselect.generators import GenSeed, gen_random_ruleselect
 
 from oracles import brute_force_front, brute_force_optimum, subset_fp_fn
@@ -337,3 +338,95 @@ def test_wide_universe_crosses_word_boundary():
     expect = brute_force_optimum(rules.names(), cache.per_rule,
                                  example.truth.facts, fp_only=False)
     assert solve_exact(rules, example, FPFN) == expect
+
+
+def _outputs_instance(outputs, truth):
+    """Rule r<i> derives B(c) for each constant c in outputs[i]; truth holds B(c)
+    for each c in truth."""
+    rules = parse_rules("".join(f"rule r{i}: A{i}(x) -> B(x).\n" for i in range(len(outputs))))
+    premise = Instance({f"A{i}": 1 for i in range(len(outputs))},
+                       [fact(f"A{i}", f"c{c}") for i, out in enumerate(outputs) for c in out])
+    return rules, DataExample(premise, Instance({"B": 1}, [fact("B", f"c{c}") for c in truth]))
+
+
+@st.composite
+def fp_instances(draw):
+    """(rules, example, kind) with every truth fact derivable, shaped by kind:
+    no rule forced; every rule forced; one rule the sole deriver of several
+    truth facts; two rules sharing the only derivation of a fact; or a
+    generated corpus instance."""
+    kind = draw(st.sampled_from(["none", "all", "several", "shared", "corpus"]))
+    if kind == "corpus":
+        rules, example = random_example(draw(st.integers(0, 10**6)), fn_noise=0.0)
+        return rules, example, kind
+    n = draw(st.integers(min_value=2 if kind in ("none", "shared") else 1, max_value=8))
+    outputs = [set(draw(st.sets(st.integers(0, 11), max_size=6))) for _ in range(n)]
+    truth = set(draw(st.sets(st.integers(0, 11)))) & set().union(*outputs)
+    if kind in ("none", "shared"):  # a second deriver for every sole-derived fact
+        for c in truth:
+            ds = [i for i, out in enumerate(outputs) if c in out]
+            if len(ds) == 1:
+                outputs[(ds[0] + 1) % n].add(c)
+    if kind == "shared":
+        outputs[0].add(20)
+        outputs[1].add(20)
+        truth.add(20)
+    if kind == "all":
+        for i in range(n):
+            outputs[i].add(30 + i)
+            truth.add(30 + i)
+    if kind == "several":
+        outputs[0] |= {40, 41, 42}
+        truth |= {40, 41, 42}
+    rules, example = _outputs_instance(outputs, truth)
+    return rules, example, kind
+
+
+def _unreduced(rules, example, sizes):
+    """FP answers of the kernel on every rule's row, read as the CLI read them
+    before forced rules were fixed: (optimum, witness), then the front."""
+    cache = evaluated(rules, example.premise)
+    universe = PackedUniverse(cache.union | example.truth.facts)
+    rows = _kernels.as_words(
+        universe.pack_rows([cache.per_rule[r.name] for r in rules.rules]), universe.n_words)
+    j = _kernels.as_words([universe.pack(example.truth.facts)], universe.n_words)[0]
+    names = [r.name for r in rules.rules]
+
+    def selection(mask):
+        return frozenset(n for i, n in enumerate(names) if mask >> i & 1)
+
+    err, mask = _kernels.solve_exact_masks(rows, j, fp_only=True)
+    best_err, witness = _kernels.size_profile_masks(
+        rows, np.array([sizes[n] for n in names], dtype=np.int64), j, fp_only=True)
+    front, least = [], None
+    for s, e in enumerate(best_err.tolist()):
+        if e >= 0 and (least is None or e < least):
+            least = e
+            front.append((e, s, selection(int(witness[s]))))
+    return (err, selection(mask)), sorted(front)
+
+
+@given(fp_instances())
+@settings(max_examples=80)
+def test_fp_forced_rules_match_unreduced_kernel_and_brute_force(drawn):
+    rules, example, kind = drawn
+    cache = evaluated(rules, example.premise)
+    truth = example.truth.facts
+    # forced: some truth fact it derives, no other rule derives
+    forced = {r.name for r in rules.rules
+              if any(all(f not in cache.per_rule[o.name] for o in rules.rules if o is not r)
+                     for f in cache.per_rule[r.name] & truth)}
+    if kind == "several":
+        assert "r0" in forced
+    elif kind != "corpus":
+        assert forced == {"none": set(), "shared": set(), "all": set(rules.names())}[kind]
+    assert {r.name for r in exact._prepare(rules, example, FP)[3]} == forced
+    sizes = {r.name: rule_size(r) for r in rules.rules}
+    optimum, front = _unreduced(rules, example, sizes)
+    assert solve_exact(rules, example, FP) == optimum
+    assert optimum == brute_force_optimum(rules.names(), cache.per_rule, truth, fp_only=True)
+    got = pareto_front(rules, example, FP)
+    assert sorted((p.error, p.size, p.witness) for p in got) == front
+    expect_points, _ = brute_force_front(rules.names(), cache.per_rule, sizes, truth,
+                                         fp_only=True)
+    assert {(e, s) for e, s, _ in front} == expect_points
