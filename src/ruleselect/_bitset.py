@@ -1,4 +1,5 @@
-"""Bit-packed element universes shared by the exact and greedy solvers.
+"""Bit-packed element universes shared by the exact and greedy solvers, and
+the pure-Python subset enumeration over them.
 
 Each element of a fixed universe owns one bit of a Python `int`, so a set of
 elements packs into one int, unions are `|`, and sizes are `bit_count()`.
@@ -6,10 +7,26 @@ Bit positions follow set iteration order: every result the solvers report
 depends only on counts and unions, never on which bit an element holds.
 Packing goes through a little-endian byte buffer of `n_words` 64-bit words,
 so it takes time and memory linear in the universe size.
+
+`subset_profile` enumerates the subsets of at most `INNER_RULES` rows on
+these ints, under the same contract and limits as the numpy kernel in
+`_kernels`, which takes over above that count: at 16 rules or fewer the
+enumeration costs less than importing numpy.
 """
 from __future__ import annotations
 
 from typing import Hashable, Iterable
+
+from .model import CapacityError
+
+#: Subset masks are int64 values with rule i at bit i.
+MAX_RULES = 62
+#: Most (subset, fact word) pairs one enumeration may visit: 2^24 subsets over
+#: 256 words, about 15-30 s on a 2-vCPU host.  More is refused up front.
+MAX_WORD_VISITS = 2**32
+#: Rules enumerated as one block: the whole space here, the inner block of
+#: every outer step in the numpy kernel.
+INNER_RULES = 16
 
 
 class PackedUniverse:
@@ -31,3 +48,30 @@ class PackedUniverse:
 
     def pack_rows(self, element_sets) -> list:
         return [self.pack(es) for es in element_sets]
+
+
+def subset_profile(rows: list, sizes: list, j: int, n_words: int, fp_only: bool) -> tuple:
+    """Per-size least error |union xor j| and its lowest subset mask, over
+    every subset of `rows` (lists indexed by size, -1 = none).
+
+    Mask bit i selects `rows[i]`.  In FP mode only subsets whose union holds
+    all of `j` count.
+    """
+    n = len(rows)
+    if (1 << n) * n_words > MAX_WORD_VISITS:
+        raise CapacityError(
+            f"enumerating 2^{n} subsets over {n_words} fact words is {(1 << n) * n_words:,} "
+            f"word visits, above the limit of {MAX_WORD_VISITS:,}")
+    unions, totals = [0], [0]
+    for row, size in zip(rows, sizes):
+        unions += [u | row for u in unions]
+        totals += [t + size for t in totals]
+    best = [-1] * (sum(sizes) + 1)
+    witness = [-1] * len(best)
+    for mask, (u, s) in enumerate(zip(unions, totals)):
+        if fp_only and u & j != j:
+            continue
+        e = (u ^ j).bit_count()
+        if best[s] < 0 or e < best[s]:  # strict: the lowest mask wins ties
+            best[s], witness[s] = e, mask
+    return best, witness

@@ -14,7 +14,6 @@ import time
 from pathlib import Path
 from typing import Optional
 
-from . import covering, generators
 from .evaluation import check_fp_feasible, compute_errors
 from .model import (
     CapacityError,
@@ -133,10 +132,11 @@ def _load(args):
 def _exact():
     """The `exact` module, imported only by the enumeration commands.
 
-    It loads numpy, whose bundled OpenBLAS starts a thread pool as it loads
-    unless told otherwise.  No ruleselect code calls BLAS, so the CLI process
-    asks for one thread, unless its environment already sets a count.
-    Importing the package as a library leaves the variable alone.
+    An enumeration past 16 rules loads numpy, whose bundled OpenBLAS starts a
+    thread pool as it loads unless told otherwise.  No ruleselect code calls
+    BLAS, so the CLI process asks for one thread before any such import,
+    unless its environment already sets a count.  Importing the package as a
+    library leaves the variable alone.
     """
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     from . import exact
@@ -181,6 +181,8 @@ def _cmd_select(args) -> dict:
         body, _ = _selection_report(rules, example, selection)
         return {"command": "select", "objective": args.objective, "method": "exact",
                 **body, "error": err, "optimal": True}
+    from . import covering
+
     if args.objective == "fp":
         cover = covering.solve_rbsc_greedy(covering.build_rbsc(rules, example))
         bound = covering.greedy_fp_bound(len(rules), len(example.truth.facts))
@@ -225,6 +227,8 @@ def _cmd_check_feasible(args) -> dict:
 
 
 def _cmd_gen(args) -> dict:
+    from . import generators
+
     gs = generators.GenSeed(
         seed=args.seed, n_universe=args.universe, n_sets=args.sets,
         density=args.density, fp_noise=args.fp_noise, fn_noise=args.fn_noise,

@@ -10,7 +10,6 @@ the solvers reads them from there.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from operator import itemgetter
 from typing import Iterable, Optional
 
@@ -52,8 +51,11 @@ def _as_text(v) -> str:
     return "0" if text == "-0" else text
 
 
-def jaccard(x, y) -> Fraction:
-    """Token-set Jaccard similarity in [0, 1]; two empty token sets count as equal."""
+def jaccard(x, y):
+    """Token-set Jaccard similarity in [0, 1], as a `Fraction`; two empty token
+    sets count as equal."""
+    from fractions import Fraction
+
     a = tokenize(_as_text(x))
     b = tokenize(_as_text(y))
     if not a and not b:

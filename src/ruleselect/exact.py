@@ -2,10 +2,13 @@
 
 All procedures here are exponential-time oracles over at most `max_rules`
 rules: per-rule outputs are bit vectors over the fact universe
-Eval(all rules, I) union J, and one kernel tabulates the least error and its
-lowest subset mask per selection size.  Witnesses are canonical: the first
-optimal subset with rule i (declaration order) at bit i, subsets ordered by
-ascending mask.
+Eval(all rules, I) union J, and one enumeration tabulates the least error and
+its lowest subset mask per selection size.  Up to `INNER_RULES` (16)
+enumerated rules it runs in pure Python on the packed ints
+(`_bitset.subset_profile`), which costs less than importing numpy; past that
+the numpy kernel in `_kernels` runs, and only then is numpy loaded.
+Witnesses are canonical: the first optimal subset with rule i (declaration
+order) at bit i, subsets ordered by ascending mask.
 
 In FP mode (zero false negatives) a rule that alone derives some truth fact
 is in every feasible selection, as a blue element that one set alone covers
@@ -14,8 +17,9 @@ are fixed before enumerating: the kernel sees only the free rules, over the
 facts outside the forced rules' outputs, and every answer adds back the
 forced rules, their size and their false positives.  The witness stays
 canonical, because every feasible mask holds the forced bits and the free
-rules keep their relative order.  So in FP mode `max_rules` and the kernel's
-limits count the free rules, and the cap is checked after evaluation; FPFN
+rules keep their relative order.  So in FP mode `max_rules`, the
+enumeration limits and the pure-Python cutoff count the free rules, and the
+cap is checked after evaluation, once infeasibility has been ruled out; FPFN
 mode forces nothing and refuses on the declared rule count before evaluating.
 """
 from __future__ import annotations
@@ -23,10 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
-from . import _kernels
-from ._bitset import PackedUniverse
+from ._bitset import INNER_RULES, MAX_RULES, PackedUniverse, subset_profile
 from .evaluation import check_fp_feasible, evaluated
 from .model import (
     CapacityError,
@@ -58,9 +59,8 @@ def _check_cap(n: int, config: ExactConfig, what: str = "rules"):
     if n > config.max_rules:
         raise CapacityError(
             f"{n} {what} exceed the enumeration cap of {config.max_rules}")
-    if n > _kernels.MAX_RULES:
-        raise CapacityError(
-            f"{n} {what} exceed the {_kernels.MAX_RULES}-rule limit of subset masks")
+    if n > MAX_RULES:
+        raise CapacityError(f"{n} {what} exceed the {MAX_RULES}-rule limit of subset masks")
 
 
 def _forced(rows: list, j: int) -> set:
@@ -74,12 +74,12 @@ def _forced(rows: list, j: int) -> set:
 
 
 def _prepare(rules: RuleSet, example: DataExample, config: ExactConfig):
-    """Kernel input, and what to add back to each of its answers.
+    """Enumeration input, and what to add back to each of its answers.
 
-    Returns `(rule_masks, j_mask, free, forced, extra_error)`.  The kernel
-    enumerates the `free` rules over facts outside the forced rules' outputs;
-    every answer also selects the `forced` rules, whose false positives
-    `extra_error` counts.  Only FP mode forces rules.
+    Returns `(rows, j, free, forced, extra_error, n_words)`: packed ints of
+    the `free` rules' outputs and of the truth, over facts outside the forced
+    rules' outputs.  Every answer also selects the `forced` rules, whose false
+    positives `extra_error` counts.  Only FP mode forces rules.
     """
     fp = config.objective == "fp"
     if not fp:  # the cap counts every rule: refuse before evaluating
@@ -88,20 +88,38 @@ def _prepare(rules: RuleSet, example: DataExample, config: ExactConfig):
     universe = PackedUniverse(cache.union | example.truth.facts)
     rows = universe.pack_rows([cache.per_rule[r.name] for r in rules.rules])
     j = universe.pack(example.truth.facts)
-    forced = _forced(rows, j) if fp else set()
-    free = [i for i in range(len(rows)) if i not in forced]
-    if fp:
-        _check_cap(len(free), config, f"free rules (of {len(rules)})")
+    forced = set()
+    if fp:  # infeasibility is reported ahead of the cap on the free rules
         missing = check_fp_feasible(rules, example)
         if missing:
             raise InfeasibleError(missing)
+        forced = _forced(rows, j)
+        _check_cap(len(rows) - len(forced), config, f"free rules (of {len(rules)})")
+    free = [i for i in range(len(rows)) if i not in forced]
     u_f = 0
     for i in forced:
         u_f |= rows[i]
-    rule_masks = _kernels.as_words([rows[i] & ~u_f for i in free], universe.n_words)
-    j_mask = _kernels.as_words([j & ~u_f], universe.n_words)[0]
-    return (rule_masks, j_mask, [rules.rules[i] for i in free],
-            [rules.rules[i] for i in forced], (u_f & ~j).bit_count())
+    return ([rows[i] & ~u_f for i in free], j & ~u_f, [rules.rules[i] for i in free],
+            [rules.rules[i] for i in forced], (u_f & ~j).bit_count(), universe.n_words)
+
+
+def _profile(rows: list, j: int, n_words: int, fp_only: bool, sizes=None) -> tuple:
+    """Per-size least error and lowest witness mask (lists, -1 = none); with
+    no sizes, one entry: the least error over all subsets.
+
+    Up to `INNER_RULES` rows enumerate in pure Python; only more load numpy.
+    """
+    if len(rows) <= INNER_RULES:
+        return subset_profile(rows, sizes or [0] * len(rows), j, n_words, fp_only)
+    from . import _kernels  # loads numpy
+
+    masks = _kernels.as_words(rows, n_words)
+    j_mask = _kernels.as_words([j], n_words)[0]
+    if sizes is None:
+        err, mask = _kernels.solve_exact_masks(masks, j_mask, fp_only=fp_only)
+        return [err], [mask]
+    best_err, witness = _kernels.size_profile_masks(masks, sizes, j_mask, fp_only=fp_only)
+    return best_err.tolist(), witness.tolist()
 
 
 def _selection(free: list, forced: list, mask: int) -> Selection:
@@ -114,9 +132,8 @@ def solve_exact(rules: RuleSet, example: DataExample,
                 config: Optional[ExactConfig] = None) -> tuple:
     """Optimum error and its canonical witness selection."""
     config = config or ExactConfig()
-    rule_masks, j_mask, free, forced, extra = _prepare(rules, example, config)
-    err, mask = _kernels.solve_exact_masks(
-        rule_masks, j_mask, fp_only=config.objective == "fp")
+    rows, j, free, forced, extra, n_words = _prepare(rules, example, config)
+    (err,), (mask,) = _profile(rows, j, n_words, fp_only=config.objective == "fp")
     if mask < 0:
         raise InfeasibleError(frozenset())  # unreachable given the precondition
     return err + extra, _selection(free, forced, mask)
@@ -131,22 +148,20 @@ def pareto_front(rules: RuleSet, example: DataExample,
     mode only zero-FN selections compete.
     """
     config = config or ExactConfig()
-    rule_masks, j_mask, free, forced, extra = _prepare(rules, example, config)
-    sizes = np.array([rule_size(r) for r in free], dtype=np.int64)
-    best_err, witness = _kernels.size_profile_masks(
-        rule_masks, sizes, j_mask, fp_only=config.objective == "fp")
+    rows, j, free, forced, extra, n_words = _prepare(rules, example, config)
+    best_err, witness = _profile(rows, j, n_words, fp_only=config.objective == "fp",
+                                 sizes=[rule_size(r) for r in free])
     forced_size = sum(rule_size(r) for r in forced)
     points = []
     best_so_far = None
-    for s in range(len(best_err)):  # ascending size; keep strict error improvements
-        e = int(best_err[s])
+    for s, e in enumerate(best_err):  # ascending size; keep strict error improvements
         if e < 0:
             continue
         if best_so_far is None or e < best_so_far:
             best_so_far = e
             points.append(ParetoPoint(
                 error=e + extra, size=s + forced_size,
-                witness=_selection(free, forced, int(witness[s]))))
+                witness=_selection(free, forced, witness[s])))
     points.sort(key=lambda p: p.error)
     return tuple(points)
 

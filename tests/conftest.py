@@ -42,11 +42,17 @@ def f1():
 
 @pytest.fixture(scope="session", autouse=True)
 def warm_kernels():
-    """Import numpy and the exact solvers once, outside any timed example."""
-    from ruleselect import ExactConfig, pareto_front, solve_exact
+    """Import numpy, its kernel and the exact solvers once, outside any timed
+    example. Small instances enumerate in pure Python, so the kernel is
+    warmed on its own."""
+    import numpy as np
+
+    from ruleselect import ExactConfig, _kernels, pareto_front, solve_exact
     from ruleselect.generators import GenSeed, gen_random_ruleselect
 
     rules, example = gen_random_ruleselect(GenSeed(seed=1, n_universe=3, n_sets=2))
     solve_exact(rules, example, ExactConfig(objective="fpfn"))
     pareto_front(rules, example)
+    _kernels.size_profile_masks(np.zeros((1, 1), dtype=np.uint64), np.ones(1, dtype=np.int64),
+                                np.zeros(1, dtype=np.uint64))
     yield

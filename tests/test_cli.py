@@ -246,6 +246,27 @@ def test_fp_cap_counts_free_rules(capsys, tmp_path, n_forced):
     assert err["error"]["message"] == f"{n_forced + 2} rules exceed the enumeration cap of 24"
 
 
+def test_fp_infeasibility_is_reported_before_the_free_rule_cap(capsys, f1_files, tmp_path):
+    # f1 has 2 free rules, past --max-rules 1, and B("nowhere") is derived by
+    # no rule: FP mode exits 2 as the greedy does. FPFN still refuses on the
+    # declared count.
+    truth = tmp_path / "truth.facts"
+    truth.write_text(F1_TRUTH + 'B("nowhere")\n')
+    for command in (["select", "--method", "exact"], ["pareto"], ["bilevel"],
+                    ["member", "--point", "0,0"]):
+        code, _, err = run(capsys, command + ["--objective", "fp", "--max-rules", "1"]
+                           + f1_files)
+        assert code == 2, (command, err)
+        assert err["error"]["code"] == "fp_infeasible"
+        assert err["error"]["missing"] == ['B("nowhere")']
+    code, _, err = run(capsys, ["select", "--method", "greedy", "--objective", "fp"]
+                       + f1_files)
+    assert code == 2 and err["error"]["code"] == "fp_infeasible"
+    code, _, err = run(capsys, ["select", "--method", "exact", "--objective", "fpfn",
+                                "--max-rules", "1"] + f1_files)
+    assert code == 3 and err["error"]["code"] == "capacity_exceeded"
+
+
 def test_exit_code_limits_violation(capsys, f1_files, tmp_path):
     (tmp_path / "rules.rules").write_text("rule w: E(x,z), E(z,y) -> F(x,y).\n")
     (tmp_path / "premise.facts").write_text("E(1, 2)\n")
@@ -370,10 +391,28 @@ def test_pretty_output_is_not_json(capsys, f1_files):
     assert "pareto_points:" in text and "error  size" in text
 
 
+def _generated(tmp_path, n_rules):
+    """Files of `gen random --seed 1 --universe 40 --sets n_rules --fp-noise 0.2`."""
+    out = tmp_path / f"gen{n_rules}"
+    assert main(["gen", "random", "--seed", "1", "--universe", "40", "--sets", str(n_rules),
+                 "--fp-noise", "0.2", "--out", str(out)]) == 0
+    return ["--rules", str(out / "rules.rules"), "--premise", str(out / "premise.facts"),
+            "--truth", str(out / "truth.facts")]
+
+
+def _run_script(script, env=None):
+    src = str(Path(ruleselect.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", script],
+                          env={**(env or os.environ), "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 def test_non_enumeration_commands_do_not_import_numpy(f1_files, tmp_path):
-    # eval, check-feasible, gen and greedy select never load numpy; the exact
-    # names still resolve from the package once asked for.
-    script = f"""
+    # eval, check-feasible, gen and greedy select never load numpy, and the
+    # exact names resolve from the package without loading it either.
+    _run_script(f"""
 import sys
 from ruleselect.cli import main
 files = {f1_files!r}
@@ -385,22 +424,52 @@ for argv in (["eval"] + files, ["check-feasible"] + files,
 assert "numpy" not in sys.modules, "numpy imported"
 from ruleselect import pareto_front, solve_exact
 assert callable(solve_exact) and callable(pareto_front)
+assert "numpy" not in sys.modules, "numpy imported by the exact names"
+""")
+
+
+def test_exact_commands_load_numpy_only_past_16_enumerated_rules(capsys, f1_files, tmp_path):
+    # Up to 16 enumerated rules (FP: the free ones) run in pure Python: the
+    # FP commands on f1 and on 16 rules with 15 free, and FPFN on exactly 16.
+    # FPFN on 17 rules loads numpy.
+    gen16, gen17 = _generated(tmp_path, 16), _generated(tmp_path, 17)
+    capsys.readouterr()
+    _run_script(f"""
+import sys
+from ruleselect.cli import main
+for files in ({f1_files!r}, {gen16!r}):
+    for argv in (["select", "--method", "exact", "--objective", "fp"],
+                 ["bilevel", "--objective", "fp"], ["pareto", "--objective", "fp"],
+                 ["member", "--objective", "fp", "--point", "0,0"]):
+        assert main(argv + files) == 0, argv
+assert main(["select", "--method", "exact", "--objective", "fpfn"] + {gen16!r}) == 0
+assert "numpy" not in sys.modules, "numpy imported"
+""")
+    _run_script(f"""
+import sys
+from ruleselect.cli import main
+assert main(["select", "--method", "exact", "--objective", "fpfn"] + {gen17!r}) == 0
 assert "numpy" in sys.modules
-"""
-    src = str(Path(ruleselect.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+""")
 
 
-def test_cli_runs_openblas_on_one_thread_unless_told_otherwise(f1_files):
-    # The CLI defaults OPENBLAS_NUM_THREADS to 1 before it loads numpy, keeps
-    # a count the caller set, and importing the package leaves it alone.
+def test_cli_runs_openblas_on_one_thread_unless_told_otherwise(f1_files, tmp_path):
+    # The CLI defaults OPENBLAS_NUM_THREADS to 1 before any import that can
+    # load numpy, keeps a count the caller set, and importing the package
+    # leaves it alone. The FP call on f1 stays in pure Python; the FPFN call
+    # on 17 rules loads numpy.
+    gen17 = _generated(tmp_path, 17)
     cli_call = f"""
-import os
+import os, sys
 from ruleselect.cli import main
 assert main(["select", "--method", "exact", "--objective", "fp"] + {f1_files!r}) == 0
+print(os.environ.get("OPENBLAS_NUM_THREADS"))
+"""
+    numpy_call = f"""
+import os, sys
+from ruleselect.cli import main
+assert main(["select", "--method", "exact", "--objective", "fpfn"] + {gen17!r}) == 0
+assert "numpy" in sys.modules
 print(os.environ.get("OPENBLAS_NUM_THREADS"))
 """
     library = """
@@ -408,13 +477,10 @@ import os
 import ruleselect, ruleselect.exact
 print(os.environ.get("OPENBLAS_NUM_THREADS"))
 """
-    src = str(Path(ruleselect.__file__).resolve().parents[1])
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    env["PYTHONPATH"] = src
     for script, preset, expect in ((cli_call, None, "1"), (cli_call, "3", "3"),
+                                   (numpy_call, None, "1"), (numpy_call, "3", "3"),
                                    (library, None, "None")):
         run_env = env if preset is None else {**env, "OPENBLAS_NUM_THREADS": preset}
-        proc = subprocess.run([sys.executable, "-c", script], env=run_env,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split()[-1] == expect, (preset, proc.stdout)
+        out = _run_script(script, run_env)
+        assert out.split()[-1] == expect, (preset, out)

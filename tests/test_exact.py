@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +20,7 @@ from ruleselect import (
     solve_exact,
 )
 from ruleselect import _kernels, exact
-from ruleselect._bitset import PackedUniverse
+from ruleselect._bitset import INNER_RULES, PackedUniverse, subset_profile
 from ruleselect.generators import GenSeed, gen_random_ruleselect
 
 from oracles import brute_force_front, brute_force_optimum, subset_fp_fn
@@ -314,6 +316,9 @@ def test_kernels_refuse_work_past_the_limit():
         masks = np.ones((n, 1), dtype=np.uint64)
         with pytest.raises(CapacityError, match="word visits"):
             _kernels.solve_exact_masks(masks, np.ones(1, dtype=np.uint64))
+    # the pure-Python path has the same limit: 2^16 subsets over 2^16 + 1 words
+    with pytest.raises(CapacityError, match="word visits"):
+        subset_profile([1] * INNER_RULES, [0] * INNER_RULES, 1, 2**16 + 1, False)
 
 
 def test_exact_witness_is_lowest_mask_not_smallest_front_point():
@@ -430,3 +435,64 @@ def test_fp_forced_rules_match_unreduced_kernel_and_brute_force(drawn):
     expect_points, _ = brute_force_front(rules.names(), cache.per_rule, sizes, truth,
                                          fp_only=True)
     assert {(e, s) for e, s, _ in front} == expect_points
+
+
+@st.composite
+def enumeration_inputs(draw):
+    """(rows, sizes, j, n_words, fp_only) on both sides of the pure-Python
+    cutoff. Rows come from a small pool, so equal rows tie optima; the truth
+    may hold a fact no rule derives; sizes are all zero or drawn."""
+    n = draw(st.one_of(st.sampled_from([INNER_RULES, INNER_RULES + 1]),
+                       st.integers(0, INNER_RULES + 1)))
+    n_words = draw(st.integers(1, 3))
+    bits = 64 * n_words - draw(st.integers(0, 63))
+    fact_bits = st.integers(0, bits - 1)
+    pool = draw(st.lists(st.sets(fact_bits, max_size=8), min_size=1, max_size=max(1, n)))
+    rows = [sum(1 << b for b in draw(st.sampled_from(pool))) for _ in range(n)]
+    j = sum(1 << b for b in draw(st.sets(fact_bits, max_size=12)))
+    covered = 0
+    for row in rows:
+        covered |= row
+    if draw(st.booleans()) and covered != (1 << bits) - 1:
+        j |= 1 << next(b for b in range(bits) if not covered >> b & 1)
+    sizes = draw(st.one_of(st.just([0] * n), st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+    return rows, sizes, j, n_words, draw(st.booleans())
+
+
+@given(enumeration_inputs())
+@settings(max_examples=60)
+def test_pure_python_enumeration_matches_numpy_kernel_and_brute_force(drawn):
+    # Up to INNER_RULES rows enumerate in pure Python, more in the numpy
+    # kernel; either way the answers are the kernel's: per-size least error
+    # at its lowest mask, and the brute-force optimum and front.
+    rows, sizes, j, n_words, fp_only = drawn
+    masks = _kernels.as_words(rows, n_words)
+    j_mask = _kernels.as_words([j], n_words)[0]
+    best_err, witness = _kernels._size_profile(
+        masks, np.array(sizes, dtype=np.int64), j_mask, fp_only)
+    expect = (best_err.tolist(), witness.tolist())
+    assert subset_profile(rows, sizes, j, n_words, fp_only) == expect
+    with mock.patch.object(_kernels, "size_profile_masks",
+                           wraps=_kernels.size_profile_masks) as kernel:
+        assert exact._profile(rows, j, n_words, fp_only, sizes=sizes) == expect
+    assert kernel.called == (len(rows) > INNER_RULES)
+    with mock.patch.object(_kernels, "solve_exact_masks",
+                           wraps=_kernels.solve_exact_masks) as kernel:
+        optimum = exact._profile(rows, j, n_words, fp_only)
+    assert kernel.called == (len(rows) > INNER_RULES)
+    if len(rows) > 8:
+        return
+    names = [f"r{i}" for i in range(len(rows))]
+    per_rule = {name: frozenset(b for b in range(64 * n_words) if row >> b & 1)
+                for name, row in zip(names, rows)}
+    truth = frozenset(b for b in range(64 * n_words) if j >> b & 1)
+    err, sel = brute_force_optimum(names, per_rule, truth, fp_only)
+    mask = -1 if sel is None else sum(1 << names.index(name) for name in sel)
+    assert optimum == ([-1 if err is None else err], [mask])
+    front, least = set(), None
+    for s, e in enumerate(expect[0]):
+        if e >= 0 and (least is None or e < least):
+            least = e
+            front.add((e, s))
+    assert front == brute_force_front(names, per_rule, dict(zip(names, sizes)), truth,
+                                      fp_only)[0]
