@@ -8,10 +8,9 @@ depends only on counts and unions, never on which bit an element holds.
 Packing goes through a little-endian byte buffer of `n_words` 64-bit words,
 so it takes time and memory linear in the universe size.
 
-`subset_profile` enumerates the subsets of at most `INNER_RULES` rows on
-these ints, under the same contract and limits as the numpy kernel in
-`_kernels`, which takes over above that count: at 16 rules or fewer the
-enumeration costs less than importing numpy.
+`subset_profile` enumerates the subsets of a few rows on these ints, under
+the same contract and limits as the numpy kernel in `_kernels`; `exact`
+chooses between the two.
 """
 from __future__ import annotations
 
@@ -24,9 +23,6 @@ MAX_RULES = 62
 #: Most (subset, fact word) pairs one enumeration may visit: 2^24 subsets over
 #: 256 words, about 15-30 s on a 2-vCPU host.  More is refused up front.
 MAX_WORD_VISITS = 2**32
-#: Rules enumerated as one block: the whole space here, the inner block of
-#: every outer step in the numpy kernel.
-INNER_RULES = 16
 
 
 class PackedUniverse:

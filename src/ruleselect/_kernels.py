@@ -1,5 +1,5 @@
 """Subset enumeration over bit-packed fact universes: the numpy kernel behind
-the exact solvers past `_bitset.INNER_RULES` rules.
+the exact solvers past `exact.PURE_PYTHON_RULES` rules.
 
 One numpy kernel walks all 2^n rule subsets and returns, for every selection
 size, the least error and the lowest subset mask that reaches it.  The Pareto
@@ -7,8 +7,8 @@ front and the bi-level optimum are that table's strict-improvement points.
 The exact optimum is the same kernel with every rule size set to 0: all
 subsets then fall in one size group, whose entry is the least error over all
 subsets at its lowest mask.  `_bitset.subset_profile` gives the same answers
-in pure Python; `exact` calls it up to `INNER_RULES` rules and imports this
-module, and with it numpy, only for more.
+in pure Python; `exact` calls it up to `PURE_PYTHON_RULES` rules and imports
+this module, and with it numpy, only for more.
 
 Subset bitmasks use the canonical order throughout: rule i (declaration
 order) occupies bit i, and subsets are ranked by ascending mask value, so the
@@ -18,9 +18,9 @@ Fact sets arrive as the Python ints of `_bitset.PackedUniverse`; `as_words`
 lays them out as rows of uint64 words, fact bit i at bit i % 64 of word
 i // 64, for the kernel.
 
-The unions of the lowest `INNER_RULES` rules' subsets are held word-major,
-one contiguous row per fact word, and each outer block is one pass per word:
-OR the base, XOR the truth J, popcount, add, into preallocated buffers.  One popcount suffices because
+Inner subset unions are held word-major, one contiguous row per fact word,
+and each outer block is one pass per word: OR the base, XOR the truth J,
+popcount, add, into preallocated buffers.  One popcount suffices because
 fp + fn = |x xor J|; FP mode also ORs up the J bits of x xor J (those x
 misses) and keeps only subsets that miss none.
 """
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._bitset import INNER_RULES, MAX_WORD_VISITS
+from ._bitset import MAX_WORD_VISITS
 from .model import CapacityError
 
 
@@ -60,7 +60,7 @@ def _size_profile(rule_masks, sizes, j_mask, fp_only):
             f"enumerating 2^{n} subsets over {w} fact words is {(1 << n) * w:,} word "
             f"visits, above the limit of {MAX_WORD_VISITS:,}")
     sizes = np.asarray(sizes, dtype=np.int64)
-    split = min(n, INNER_RULES)
+    split = min(n, 16)
     inner_sizes = np.zeros(1, dtype=np.int64)
     for i in range(split):
         inner_sizes = np.concatenate([inner_sizes, inner_sizes + sizes[i]])

@@ -3,10 +3,10 @@
 All procedures here are exponential-time oracles over at most `max_rules`
 rules: per-rule outputs are bit vectors over the fact universe
 Eval(all rules, I) union J, and one enumeration tabulates the least error and
-its lowest subset mask per selection size.  Up to `INNER_RULES` (16)
+its lowest subset mask per selection size.  Up to `PURE_PYTHON_RULES` (16)
 enumerated rules it runs in pure Python on the packed ints
-(`_bitset.subset_profile`), which costs less than importing numpy; past that
-the numpy kernel in `_kernels` runs, and only then is numpy loaded.
+(`_bitset.subset_profile`); past that the numpy kernel in `_kernels` runs,
+and only then is numpy loaded.
 Witnesses are canonical: the first optimal subset with rule i (declaration
 order) at bit i, subsets ordered by ascending mask.
 
@@ -18,7 +18,7 @@ facts outside the forced rules' outputs, and every answer adds back the
 forced rules, their size and their false positives.  The witness stays
 canonical, because every feasible mask holds the forced bits and the free
 rules keep their relative order.  So in FP mode `max_rules`, the
-enumeration limits and the pure-Python cutoff count the free rules, and the
+enumeration limits and `PURE_PYTHON_RULES` count the free rules, and the
 cap is checked after evaluation, once infeasibility has been ruled out; FPFN
 mode forces nothing and refuses on the declared rule count before evaluating.
 """
@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ._bitset import INNER_RULES, MAX_RULES, PackedUniverse, subset_profile
+from ._bitset import MAX_RULES, PackedUniverse, subset_profile
 from .evaluation import check_fp_feasible, evaluated
 from .model import (
     CapacityError,
@@ -41,6 +41,14 @@ from .model import (
 )
 
 OBJECTIVES = ("fp", "fpfn")
+#: Most rules `_profile` enumerates in pure Python.  Timed in fresh processes
+#: on a 2-vCPU host against importing numpy plus its kernel, pure Python won
+#: at every size tried up to 17 rules: at 16 rules 22 vs 179 ms over 1 fact
+#: word and 575 vs 1,054 ms over 500, at about half the kernel's peak memory;
+#: at 12 rules 726 vs 1,390 ms over 10,000 words.  It lost from 18 rules x 40
+#: words on, as its cost doubles per rule while the kernel's 2^16-subset block
+#: stays flat.
+PURE_PYTHON_RULES = 16
 
 
 @dataclass(frozen=True)
@@ -107,9 +115,10 @@ def _profile(rows: list, j: int, n_words: int, fp_only: bool, sizes=None) -> tup
     """Per-size least error and lowest witness mask (lists, -1 = none); with
     no sizes, one entry: the least error over all subsets.
 
-    Up to `INNER_RULES` rows enumerate in pure Python; only more load numpy.
+    Up to `PURE_PYTHON_RULES` rows enumerate in pure Python; only more load
+    numpy.
     """
-    if len(rows) <= INNER_RULES:
+    if len(rows) <= PURE_PYTHON_RULES:
         return subset_profile(rows, sizes or [0] * len(rows), j, n_words, fp_only)
     from . import _kernels  # loads numpy
 

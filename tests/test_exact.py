@@ -20,7 +20,7 @@ from ruleselect import (
     solve_exact,
 )
 from ruleselect import _kernels, exact
-from ruleselect._bitset import INNER_RULES, PackedUniverse, subset_profile
+from ruleselect._bitset import PackedUniverse, subset_profile
 from ruleselect.generators import GenSeed, gen_random_ruleselect
 
 from oracles import brute_force_front, brute_force_optimum, subset_fp_fn
@@ -318,7 +318,7 @@ def test_kernels_refuse_work_past_the_limit():
             _kernels.solve_exact_masks(masks, np.ones(1, dtype=np.uint64))
     # the pure-Python path has the same limit: 2^16 subsets over 2^16 + 1 words
     with pytest.raises(CapacityError, match="word visits"):
-        subset_profile([1] * INNER_RULES, [0] * INNER_RULES, 1, 2**16 + 1, False)
+        subset_profile([1] * 16, [0] * 16, 1, 2**16 + 1, False)
 
 
 def test_exact_witness_is_lowest_mask_not_smallest_front_point():
@@ -442,8 +442,8 @@ def enumeration_inputs(draw):
     """(rows, sizes, j, n_words, fp_only) on both sides of the pure-Python
     cutoff. Rows come from a small pool, so equal rows tie optima; the truth
     may hold a fact no rule derives; sizes are all zero or drawn."""
-    n = draw(st.one_of(st.sampled_from([INNER_RULES, INNER_RULES + 1]),
-                       st.integers(0, INNER_RULES + 1)))
+    cutoff = exact.PURE_PYTHON_RULES
+    n = draw(st.one_of(st.sampled_from([cutoff, cutoff + 1]), st.integers(0, cutoff + 1)))
     n_words = draw(st.integers(1, 3))
     bits = 64 * n_words - draw(st.integers(0, 63))
     fact_bits = st.integers(0, bits - 1)
@@ -462,9 +462,9 @@ def enumeration_inputs(draw):
 @given(enumeration_inputs())
 @settings(max_examples=60)
 def test_pure_python_enumeration_matches_numpy_kernel_and_brute_force(drawn):
-    # Up to INNER_RULES rows enumerate in pure Python, more in the numpy
-    # kernel; either way the answers are the kernel's: per-size least error
-    # at its lowest mask, and the brute-force optimum and front.
+    # Up to PURE_PYTHON_RULES rows enumerate in pure Python, more in the
+    # numpy kernel; either way the answers are the kernel's: per-size least
+    # error at its lowest mask, and the brute-force optimum and front.
     rows, sizes, j, n_words, fp_only = drawn
     masks = _kernels.as_words(rows, n_words)
     j_mask = _kernels.as_words([j], n_words)[0]
@@ -475,11 +475,11 @@ def test_pure_python_enumeration_matches_numpy_kernel_and_brute_force(drawn):
     with mock.patch.object(_kernels, "size_profile_masks",
                            wraps=_kernels.size_profile_masks) as kernel:
         assert exact._profile(rows, j, n_words, fp_only, sizes=sizes) == expect
-    assert kernel.called == (len(rows) > INNER_RULES)
+    assert kernel.called == (len(rows) > exact.PURE_PYTHON_RULES)
     with mock.patch.object(_kernels, "solve_exact_masks",
                            wraps=_kernels.solve_exact_masks) as kernel:
         optimum = exact._profile(rows, j, n_words, fp_only)
-    assert kernel.called == (len(rows) > INNER_RULES)
+    assert kernel.called == (len(rows) > exact.PURE_PYTHON_RULES)
     if len(rows) > 8:
         return
     names = [f"r{i}" for i in range(len(rows))]
