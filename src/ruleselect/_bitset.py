@@ -23,6 +23,20 @@ MAX_RULES = 62
 #: Most (subset, fact word) pairs one enumeration may visit: 2^24 subsets over
 #: 256 words, about 15-30 s on a 2-vCPU host.  More is refused up front.
 MAX_WORD_VISITS = 2**32
+#: Most fact words the table of subset unions, which both enumerations hold
+#: at once, may take: 2^16 subsets over 512 words, 256 MiB of words.  At 16
+#: rules over 500 words the pure-Python enumeration peaked at 285 MB and the
+#: numpy kernel at 529 MB (2-vCPU host).  More is refused up front.
+MAX_UNION_WORDS = 2**25
+
+
+def check_union_table(subsets: int, n_words: int) -> None:
+    """Refuse a union table of `subsets` rows over `n_words` words past
+    `MAX_UNION_WORDS`, before anything is allocated."""
+    if subsets * n_words > MAX_UNION_WORDS:
+        raise CapacityError(
+            f"holding {subsets:,} subset unions over {n_words} fact words takes "
+            f"{subsets * n_words:,} words, above the limit of {MAX_UNION_WORDS:,}")
 
 
 class PackedUniverse:
@@ -58,6 +72,7 @@ def subset_profile(rows: list, sizes: list, j: int, n_words: int, fp_only: bool)
         raise CapacityError(
             f"enumerating 2^{n} subsets over {n_words} fact words is {(1 << n) * n_words:,} "
             f"word visits, above the limit of {MAX_WORD_VISITS:,}")
+    check_union_table(1 << n, n_words)
     unions, totals = [0], [0]
     for row, size in zip(rows, sizes):
         unions += [u | row for u in unions]

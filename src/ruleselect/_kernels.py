@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._bitset import MAX_WORD_VISITS
+from ._bitset import MAX_WORD_VISITS, check_union_table
 from .model import CapacityError
 
 
@@ -59,8 +59,9 @@ def _size_profile(rule_masks, sizes, j_mask, fp_only):
         raise CapacityError(
             f"enumerating 2^{n} subsets over {w} fact words is {(1 << n) * w:,} word "
             f"visits, above the limit of {MAX_WORD_VISITS:,}")
-    sizes = np.asarray(sizes, dtype=np.int64)
     split = min(n, 16)
+    check_union_table(1 << split, w)
+    sizes = np.asarray(sizes, dtype=np.int64)
     inner_sizes = np.zeros(1, dtype=np.int64)
     for i in range(split):
         inner_sizes = np.concatenate([inner_sizes, inner_sizes + sizes[i]])

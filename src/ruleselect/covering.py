@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable
 
@@ -24,6 +23,7 @@ from .model import (
     CoverageError,
     DataExample,
     InfeasibleError,
+    Record,
     RuleSet,
     ValidationError,
 )
@@ -43,28 +43,25 @@ def _check_system(ground_a, ground_b, sets, kind_a, kind_b):
                 f"set {label!r} contains unknown elements {sorted(map(str, stray))[:3]}")
 
 
-@dataclass(frozen=True)
-class RbscInstance:
+class RbscInstance(Record):
     """Cover every blue element while covering as few red elements as possible."""
 
-    red: frozenset
-    blue: frozenset
-    sets: tuple  # ordered (label, frozenset of elements)
+    __slots__ = ("red", "blue", "sets")
 
-    def __post_init__(self):
-        _check_system(self.red, self.blue, self.sets, "red", "blue")
+    def __init__(self, red: frozenset, blue: frozenset, sets: tuple):
+        # sets: ordered (label, frozenset of elements)
+        _check_system(red, blue, sets, "red", "blue")
+        self._init(red, blue, sets)
 
 
-@dataclass(frozen=True)
-class PnpscInstance:
+class PnpscInstance(Record):
     """Minimize uncovered positives plus covered negatives."""
 
-    positive: frozenset
-    negative: frozenset
-    sets: tuple
+    __slots__ = ("positive", "negative", "sets")
 
-    def __post_init__(self):
-        _check_system(self.positive, self.negative, self.sets, "positive", "negative")
+    def __init__(self, positive: frozenset, negative: frozenset, sets: tuple):
+        _check_system(positive, negative, sets, "positive", "negative")
+        self._init(positive, negative, sets)
 
     def cost(self, labels: Iterable[str]) -> int:
         chosen = set(labels)
@@ -75,12 +72,14 @@ class PnpscInstance:
         return len(self.positive - union) + len(self.negative & union)
 
 
-@dataclass(frozen=True)
-class CoverSelection:
+class CoverSelection(Record):
     """A solver result; every reported quantity is recomputable from `chosen`."""
 
-    chosen: tuple  # labels, sorted
-    cost: int
+    __slots__ = ("chosen", "cost")
+
+    def __init__(self, chosen: tuple, cost: int):
+        # chosen: labels, sorted
+        self._init(chosen, cost)
 
 
 def _fact_sets(rules: RuleSet, example: DataExample):
@@ -276,10 +275,13 @@ def solve_pnpsc_approx(instance: PnpscInstance) -> CoverSelection:
 
 
 def greedy_fp_bound(n_rules: int, truth_size: int) -> float:
-    """Approximation factor the FP-objective greedy is held to empirically."""
-    return 2.0 * math.sqrt(n_rules * max(1.0, math.log2(max(1, truth_size))))
+    """Approximation factor the FP-objective greedy is held to empirically;
+    at least 1, which a rule-free instance would otherwise fall below."""
+    return max(1.0, 2.0 * math.sqrt(n_rules * max(1.0, math.log2(max(1, truth_size)))))
 
 
 def greedy_fpfn_bound(n_rules: int, truth_size: int) -> float:
-    """Approximation factor the FP+FN-objective pipeline is held to empirically."""
-    return 2.0 * math.sqrt((n_rules + truth_size) * max(1.0, math.log2(max(1, truth_size))))
+    """Approximation factor the FP+FN-objective pipeline is held to empirically;
+    at least 1, as `greedy_fp_bound`."""
+    return max(1.0, 2.0 * math.sqrt(
+        (n_rules + truth_size) * max(1.0, math.log2(max(1, truth_size)))))

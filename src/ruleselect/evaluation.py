@@ -179,10 +179,10 @@ def eval_rule(rule: Rule, premise: Instance, interned: Optional[dict] = None) ->
         if fixed:
             index = premise.lookup(atom.relation, tuple(fixed))
             key = itemgetter(*slots([premise_refs[pos][i] for i in fixed]))
-            matches = [(b, f.args) for b in bindings for f in index.get(key(b), ())]
+            matches = [(b, a) for b in bindings for a in index.get(key(b), ())]
         else:
             bucket = premise.bucket(atom.relation)
-            matches = [(b, f.args) for b in bindings for f in bucket]
+            matches = [(b, a) for b in bindings for a in bucket]
         if repeats:
             matches = [(b, a) for b, a in matches if all(a[i] == a[j] for i, j in repeats)]
         if fresh:

@@ -24,7 +24,6 @@ mode forces nothing and refuses on the declared rule count before evaluating.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from ._bitset import MAX_RULES, PackedUniverse, subset_profile
@@ -34,6 +33,7 @@ from .model import (
     DataExample,
     InfeasibleError,
     ParetoPoint,
+    Record,
     RuleSet,
     Selection,
     ValidationError,
@@ -51,16 +51,15 @@ OBJECTIVES = ("fp", "fpfn")
 PURE_PYTHON_RULES = 16
 
 
-@dataclass(frozen=True)
-class ExactConfig:
-    max_rules: int = 24
-    objective: str = "fpfn"
+class ExactConfig(Record):
+    __slots__ = ("max_rules", "objective")
 
-    def __post_init__(self):
-        if self.objective not in OBJECTIVES:
+    def __init__(self, max_rules: int = 24, objective: str = "fpfn"):
+        if objective not in OBJECTIVES:
             raise ValidationError(f"objective must be one of {OBJECTIVES}")
-        if self.max_rules < 1:
+        if max_rules < 1:
             raise ValidationError("max_rules must be positive")
+        self._init(max_rules, objective)
 
 
 def _check_cap(n: int, config: ExactConfig, what: str = "rules"):

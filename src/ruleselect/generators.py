@@ -9,13 +9,13 @@ from __future__ import annotations
 import json
 import random
 import re
-from dataclasses import dataclass
 from typing import Optional
 
 from .evaluation import evaluated
 from .model import (
     DataExample,
     Instance,
+    Record,
     RelationalAtom,
     Rule,
     RuleSet,
@@ -29,47 +29,42 @@ _MARKER_RE = re.compile(r"a\d+\Z")
 _CLONE_RE = re.compile(r"b\d+\^\d+\Z")
 
 
-@dataclass(frozen=True)
-class SetCoverInstance:
+class SetCoverInstance(Record):
     """A universe, a list of covering sets whose union is the universe, optional k."""
 
-    universe: tuple
-    sets: tuple  # frozensets of universe ids
-    k: Optional[int] = None
+    __slots__ = ("universe", "sets", "k")
 
-    def __post_init__(self):
-        if len(set(self.universe)) != len(self.universe):
+    def __init__(self, universe: tuple, sets: tuple, k: Optional[int] = None):
+        # sets: frozensets of universe ids
+        if len(set(universe)) != len(universe):
             raise ValidationError("universe ids must be unique")
         union = set()
-        for s in self.sets:
+        for s in sets:
             if not s:
                 raise ValidationError("covering sets must be nonempty")
             union |= s
-        if union != set(self.universe):
+        if union != set(universe):
             raise ValidationError("union of the sets must equal the universe")
+        self._init(universe, sets, k)
 
 
-@dataclass(frozen=True)
-class GenSeed:
+class GenSeed(Record):
     """Seed plus size knobs; identical seeds and knobs give identical output."""
 
-    seed: int
-    n_universe: int
-    n_sets: int
-    density: float = 0.3
-    fp_noise: float = 0.0
-    fn_noise: float = 0.0
-    join_rules: int = 0
+    __slots__ = ("seed", "n_universe", "n_sets", "density", "fp_noise", "fn_noise",
+                 "join_rules")
 
-    def __post_init__(self):
-        if self.n_universe < 1 or self.n_sets < 1:
+    def __init__(self, seed: int, n_universe: int, n_sets: int, density: float = 0.3,
+                 fp_noise: float = 0.0, fn_noise: float = 0.0, join_rules: int = 0):
+        if n_universe < 1 or n_sets < 1:
             raise ValidationError("need at least one universe element and one set")
-        if not 0.0 < self.density <= 1.0:
+        if not 0.0 < density <= 1.0:
             raise ValidationError("density must be in (0, 1]")
-        if not (0.0 <= self.fp_noise <= 1.0 and 0.0 <= self.fn_noise <= 1.0):
+        if not (0.0 <= fp_noise <= 1.0 and 0.0 <= fn_noise <= 1.0):
             raise ValidationError("noise knobs must be in [0, 1]")
-        if not 0 <= self.join_rules <= self.n_sets:
+        if not 0 <= join_rules <= n_sets:
             raise ValidationError("join_rules must be between 0 and n_sets")
+        self._init(seed, n_universe, n_sets, density, fp_noise, fn_noise, join_rules)
 
 
 def _check_namespace(sc: SetCoverInstance, clones: bool):

@@ -5,7 +5,6 @@ an `Instance` only memoizes values derived from its facts.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Decimal
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
@@ -34,6 +33,49 @@ class InfeasibleError(RuntimeError):
 class CoverageError(RuntimeError):
     """A blue element of a red-blue instance is not contained in any set."""
 
+
+class Record:
+    """Base of the immutable value records here and in `exact`, `covering` and
+    `generators`.
+
+    A record's fields are its `__slots__`, which its `__init__` sets once,
+    in slot order, through `_init`.  Records of one class compare and hash
+    by their field values, and assigning or deleting a field raises
+    `AttributeError`.
+    """
+
+    __slots__ = ()
+
+    def _init(self, *values):
+        for name, value in zip(self.__slots__, values):
+            _set_field(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__name__}({fields})"
+
+
+_set_field = object.__setattr__
 
 #: Builtin predicate names reserved by the rule language.  Semantics live in
 #: the evaluation module; the model and parser only need the registry keys.
@@ -148,49 +190,63 @@ def fact(relation: str, *args) -> Fact:
     return Fact(relation, args)
 
 
-def _grouped(facts, key: Callable) -> dict:
-    # key(f.args) -> the facts f that have it
+def _grouped(rows, key: Callable) -> dict:
+    # key(args) -> the argument tuples that have it
     groups: dict = {}
-    for f in facts:
-        groups.setdefault(key(f.args), []).append(f)
-    return {k: tuple(fs) for k, fs in groups.items()}
+    for args in rows:
+        groups.setdefault(key(args), []).append(args)
+    return {k: tuple(group) for k, group in groups.items()}
 
 
 class Instance:
     """A set of facts together with the schema (relation name -> arity) they obey.
 
-    Values derived from the facts alone (the lookup index, rule evaluations)
-    are memoized on the instance by `derived`: built on first use, published
-    with `dict.setdefault` so concurrent builders agree on one object, and
-    shared by every reader afterwards.  They take no part in equality or
-    hashing.
+    The facts are stored per relation, as their argument tuples (`bucket`);
+    the frozenset of `Fact`s (`facts`) is built on first read, so an
+    instance that only evaluation reads never builds it.  Values derived from
+    the facts alone (the facts themselves, the lookup index, rule
+    evaluations) are memoized on the instance by `derived`: built on first
+    use, published with `dict.setdefault` so concurrent builders agree on one
+    object, and shared by every reader afterwards.  They take no part in
+    equality or hashing.
     """
 
-    __slots__ = ("schema", "facts", "_derived")
+    __slots__ = ("schema", "_derived")
 
     def __init__(self, schema: Mapping[str, int], facts: Iterable[Fact]):
+        facts = frozenset(facts)
+        rows: dict = {}
+        for f in facts:
+            rows.setdefault(f.relation, []).append(f.args)
+        self._fill(schema, rows)
+        self._derived[Fact] = facts
+
+    @classmethod
+    def from_rows(cls, schema: Mapping[str, int], rows: Mapping[str, list]) -> "Instance":
+        """An instance from relation -> argument tuples of constants already
+        checked (as for `checked_fact`), repeats allowed.  Of equal tuples,
+        such as (1,) and (Decimal("1.0"),), the first one is kept."""
+        inst = cls.__new__(cls)
+        inst._fill(schema, rows)
+        return inst
+
+    def _fill(self, schema: Mapping[str, int], rows: Mapping[str, list]):
         self.schema = dict(schema)
         for name, arity in self.schema.items():
             if arity < 1:
                 raise ValidationError(f"relation {name} has arity {arity} < 1")
-        self.facts = frozenset(facts)
-        # One pass over the facts checks each arity and fills the buckets.
-        buckets: dict = {}
-        for f in self.facts:
-            rel = f.relation
-            bucket = buckets.get(rel)
-            if bucket is None:
-                if rel not in self.schema:
-                    raise ValidationError(f"fact over undeclared relation {rel}")
-                bucket = buckets[rel] = []
-            if len(f.args) != self.schema[rel]:
+        buckets = {rel: tuple(dict.fromkeys(args)) for rel, args in rows.items()}
+        for rel, bucket in buckets.items():
+            arity = self.schema.get(rel)
+            if arity is None:
+                raise ValidationError(f"fact over undeclared relation {rel}")
+            for width in set(map(len, bucket)) - {arity}:
                 raise ValidationError(
-                    f"fact {rel}/{len(f.args)} does not match declared arity {self.schema[rel]}"
-                )
-            bucket.append(f)
-        # None -> {relation: facts}; (relation, positions) -> {values there: facts};
+                    f"fact {rel}/{width} does not match declared arity {arity}")
+        # None -> {relation: argument tuples}; Fact -> the frozenset of facts;
+        # (relation, positions) -> {values there: argument tuples};
         # a rule list's canonical text -> its per-rule outputs (`evaluation.evaluated`)
-        self._derived: dict = {None: {rel: tuple(fs) for rel, fs in buckets.items()}}
+        self._derived: dict = {None: buckets}
 
     @classmethod
     def empty(cls, schema: Optional[Mapping[str, int]] = None):
@@ -203,19 +259,28 @@ class Instance:
             value = self._derived.setdefault(key, build())
         return value
 
+    @property
+    def facts(self) -> frozenset:
+        """The facts, as a frozenset of `Fact`s, built on first read."""
+        return self.derived(Fact, lambda: frozenset(
+            checked_fact(rel, args)
+            for rel, rows in self._derived[None].items() for args in rows))
+
     def bucket(self, name: str) -> tuple:
-        """The facts of one relation, in a fixed order; empty when it has none."""
+        """The argument tuples of one relation's facts, in a fixed order; empty
+        when it has none."""
         return self._derived[None].get(name, ())
 
     def lookup(self, name: str, positions: tuple) -> dict:
         """Hash index of one relation on one or more argument positions:
-        `itemgetter(*positions)` of a fact's arguments (the value there for
-        one position, the tuple of values for several) -> facts carrying it."""
+        `itemgetter(*positions)` of an argument tuple (the value there for
+        one position, the tuple of values for several) -> the argument tuples
+        carrying it."""
         return self.derived((name, positions), lambda: _grouped(
             self.bucket(name), itemgetter(*positions)))
 
     def __len__(self):
-        return len(self.facts)
+        return sum(map(len, self._derived[None].values()))
 
     def __eq__(self, other):
         if not isinstance(other, Instance):
@@ -226,21 +291,21 @@ class Instance:
         return hash((frozenset(self.schema.items()), self.facts))
 
     def __repr__(self):
-        return f"Instance({len(self.schema)} relations, {len(self.facts)} facts)"
+        return f"Instance({len(self.schema)} relations, {len(self)} facts)"
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(Record):
     """A variable or a constant in an atom.  Exactly one of var/const is set."""
 
-    var: Optional[str] = None
-    const: Union[str, int, Decimal, None] = None
+    __slots__ = ("var", "const")
 
-    def __post_init__(self):
-        if (self.var is None) == (self.const is None):
+    def __init__(self, var: Optional[str] = None,
+                 const: Union[str, int, Decimal, None] = None):
+        if (var is None) == (const is None):
             raise ValidationError("term must be exactly one of variable or constant")
-        if self.const is not None:
-            check_constant(self.const)
+        if const is not None:
+            check_constant(const)
+        self._init(var, const)
 
     @property
     def is_var(self) -> bool:
@@ -255,14 +320,13 @@ def const(v) -> Term:
     return Term(const=v)
 
 
-@dataclass(frozen=True)
-class RelationalAtom:
-    relation: str
-    terms: tuple
+class RelationalAtom(Record):
+    __slots__ = ("relation", "terms")
 
-    def __post_init__(self):
-        if not self.terms:
-            raise ValidationError(f"atom {self.relation}() needs at least one term")
+    def __init__(self, relation: str, terms: tuple):
+        if not terms:
+            raise ValidationError(f"atom {relation}() needs at least one term")
+        self._init(relation, terms)
 
     def variables(self) -> Iterator[str]:
         for t in self.terms:
@@ -270,20 +334,18 @@ class RelationalAtom:
                 yield t.var
 
 
-@dataclass(frozen=True)
-class BuiltinAtom:
-    name: str
-    terms: tuple
-    threshold: Optional[Decimal] = None
+class BuiltinAtom(Record):
+    __slots__ = ("name", "terms", "threshold")
 
-    def __post_init__(self):
-        if self.name not in BUILTIN_NAMES:
-            raise ValidationError(f"unknown builtin {self.name!r}")
-        want = BUILTIN_TERM_COUNTS[self.name]
-        if len(self.terms) != want:
-            raise ValidationError(f"builtin {self.name} takes {want} terms")
-        if (self.name == "jaccard_geq") != (self.threshold is not None):
-            raise ValidationError(f"builtin {self.name}: bad threshold usage")
+    def __init__(self, name: str, terms: tuple, threshold: Optional[Decimal] = None):
+        if name not in BUILTIN_NAMES:
+            raise ValidationError(f"unknown builtin {name!r}")
+        want = BUILTIN_TERM_COUNTS[name]
+        if len(terms) != want:
+            raise ValidationError(f"builtin {name} takes {want} terms")
+        if (name == "jaccard_geq") != (threshold is not None):
+            raise ValidationError(f"builtin {name}: bad threshold usage")
+        self._init(name, terms, threshold)
 
     def variables(self) -> Iterator[str]:
         for t in self.terms:
@@ -294,8 +356,7 @@ class BuiltinAtom:
 Atom = Union[RelationalAtom, BuiltinAtom]
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(Record):
     """A Horn rule: conjunctive premise over the premise schema, single conclusion atom.
 
     Safety (every conclusion/builtin variable bound by a relational premise
@@ -303,15 +364,14 @@ class Rule:
     that invalid rules can be represented and reported on.
     """
 
-    name: str
-    premise: tuple
-    head: RelationalAtom
+    __slots__ = ("name", "premise", "head")
 
-    def __post_init__(self):
-        if not self.name:
+    def __init__(self, name: str, premise: tuple, head: RelationalAtom):
+        if not name:
             raise ValidationError("rule needs a name")
-        if not self.premise:
-            raise ValidationError(f"rule {self.name}: premise must be non-empty")
+        if not premise:
+            raise ValidationError(f"rule {name}: premise must be non-empty")
+        self._init(name, premise, head)
 
     def relational_atoms(self) -> list:
         return [a for a in self.premise if isinstance(a, RelationalAtom)]
@@ -401,12 +461,13 @@ class RuleSet:
         return f"RuleSet({len(self.rules)} rules)"
 
 
-@dataclass(frozen=True)
-class DataExample:
+class DataExample(Record):
     """A premise instance paired with a ground-truth conclusion instance."""
 
-    premise: Instance
-    truth: Instance
+    __slots__ = ("premise", "truth")
+
+    def __init__(self, premise: Instance, truth: Instance):
+        self._init(premise, truth)
 
 
 #: A selection is the set of chosen rule names.
@@ -422,12 +483,13 @@ def check_selection(rules: RuleSet, selection: Iterable[str]) -> Selection:
     return sel
 
 
-@dataclass(frozen=True)
-class ErrorReport:
+class ErrorReport(Record):
     """False positives and false negatives of a selection against a data example."""
 
-    fp: frozenset
-    fn: frozenset
+    __slots__ = ("fp", "fn")
+
+    def __init__(self, fp: frozenset, fn: frozenset):
+        self._init(fp, fn)
 
     @property
     def fp_count(self) -> int:
@@ -442,25 +504,24 @@ class ErrorReport:
         return len(self.fp) + len(self.fn)
 
 
-@dataclass(frozen=True)
-class EvalLimits:
+class EvalLimits(Record):
     """Bounds that keep evaluation polynomial: atoms per premise, conclusion arity."""
 
-    max_premise_atoms: int
-    max_conclusion_arity: int
+    __slots__ = ("max_premise_atoms", "max_conclusion_arity")
 
-    def __post_init__(self):
-        if self.max_premise_atoms < 1 or self.max_conclusion_arity < 1:
+    def __init__(self, max_premise_atoms: int, max_conclusion_arity: int):
+        if max_premise_atoms < 1 or max_conclusion_arity < 1:
             raise ValidationError("evaluation limits must be positive")
+        self._init(max_premise_atoms, max_conclusion_arity)
 
 
-@dataclass(frozen=True)
-class ParetoPoint:
+class ParetoPoint(Record):
     """An (error, size) pair, optionally with a selection realizing it."""
 
-    error: int
-    size: int
-    witness: Optional[Selection] = None
+    __slots__ = ("error", "size", "witness")
+
+    def __init__(self, error: int, size: int, witness: Optional[Selection] = None):
+        self._init(error, size, witness)
 
 
 def display_var(name: str) -> str:

@@ -27,7 +27,6 @@ from .model import (
     Rule,
     RuleSet,
     Term,
-    checked_fact,
     literal,
     validate,
 )
@@ -317,22 +316,26 @@ def parse_rules(text: str, file: str = "<rules>") -> RuleSet:
 # --------------------------------------------------------------------------
 
 
-# The common shape of a fact line, matched in one step: an ASCII relation name
-# starting uppercase, then constants (strings with \" and \\ escapes,
-# integers, decimals) with blanks or tabs between tokens.  Anything else --
-# comments, malformed input, out-of-range integers -- goes to the lexer, which
-# alone produces ParseError messages and positions.
-_STRING = r'"(?:[^"\\\n]|\\["\\])*"'
+# The common shape of a fact line: an ASCII relation name starting uppercase,
+# then constants (strings with \" and \\ escapes, integers, decimals) with
+# blanks or tabs between tokens.  Over a text whose line breaks are all "\n",
+# `_LINE_RE.findall` gives one triple per line: (relation, argument text, "")
+# for a line of that shape, ("", "", line) for any other.  Other lines --
+# blanks, comments, malformed input -- and lines with an out-of-range integer
+# go to the lexer, which alone produces ParseError messages and positions.
+_STRING = r'"[^"\\\n]*(?:\\["\\][^"\\\n]*)*"'
 _NUMBER = r"-?[0-9]+(?:\.[0-9]+)?"
 _CONST = f"(?:{_STRING}|{_NUMBER})"
-_FACT_LINE_RE = re.compile(
-    rf"[ \t]*([A-Z][A-Za-z0-9_]*)[ \t]*\([ \t]*({_CONST}(?:[ \t]*,[ \t]*{_CONST})*)[ \t]*\)[ \t]*")
+_LINE_RE = re.compile(
+    rf"^(?:[ \t]*([A-Z][A-Za-z0-9_]*)[ \t]*\([ \t]*({_CONST}(?:[ \t]*,[ \t]*{_CONST})*)"
+    rf"[ \t]*\)[ \t]*$|(.*))", re.M)
 _CONST_RE = re.compile(f"({_STRING})|({_NUMBER})")
 _ESCAPE_RE = re.compile(r"\\(.)")
 
 
-def _fast_args(arg_text: str) -> Optional[tuple]:
-    """The constants of a fast-path argument list; None when the lexer must decide."""
+def _read_args(arg_text: str) -> Optional[tuple]:
+    """The constants of a matched argument text; None when an integer is out
+    of range, which the lexer reports."""
     args = []
     for quoted, number in _CONST_RE.findall(arg_text):
         if quoted:
@@ -350,30 +353,9 @@ def _fast_args(arg_text: str) -> Optional[tuple]:
     return tuple(args)
 
 
-def _fast_fact(shape: tuple, args_of: dict) -> Optional[Fact]:
-    """The fact of a line of the common shape, given as (relation, argument
-    text); None when the lexer must decide.  `args_of` memoizes argument text
-    -> constants across the lines of one parse."""
-    rel, arg_text = shape
-    args = args_of.get(arg_text)
-    if args is None:
-        args = args_of[arg_text] = _fast_args(arg_text)
-    return None if args is None else checked_fact(rel, args)
-
-
-def _fast_fact_line(raw: str) -> Optional[Fact]:
-    """The fact on a line of the common shape; None when the lexer must decide."""
-    m = _FACT_LINE_RE.fullmatch(raw)
-    return None if m is None else _fast_fact(m.groups(), {})
-
-
-def _parse_fact_line(raw: str, file: str) -> Optional[Fact]:
-    """Parse one line; None for blank/comment-only lines.  Positions are line-local."""
-    return _fast_fact_line(raw) or _lex_fact_line(raw, file)
-
-
 def _lex_fact_line(raw: str, file: str) -> Optional[Fact]:
-    """`_parse_fact_line` through the positioned lexer, for every line shape."""
+    """The fact on one line, through the positioned lexer, for every line
+    shape; None for blank/comment-only lines.  Positions are line-local."""
     lexer = _Lexer(raw, file)
     tok = lexer.next()
     if tok.kind == "eof":
@@ -412,39 +394,45 @@ def parse_facts(text: str, schema: Optional[Mapping[str, int]] = None,
     """Parse a fact file: one `Rel(const, ...)` per line, `#` comments allowed.
 
     With a schema, every fact must conform to it; without one, the schema is
-    inferred from usage.
+    inferred from usage.  One pass over the text files each fact's argument
+    tuple under its relation, reading each distinct argument text once.
     """
-    seen: dict[str, int] = {}
-    facts = []
-    args_of: dict = {}  # one parse's memo, see `_fast_fact`
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        m = _FACT_LINE_RE.fullmatch(raw)
-        f = m and _fast_fact(m.groups(), args_of)
-        if f is None:
+    text = "\n".join(text.splitlines())  # lines and their numbers as `splitlines` gives them
+    arity = dict(schema) if schema is not None else {}
+    rows: dict = {}
+    args_of: dict = {}
+
+    def line(lineno: int) -> str:  # a matched line's text, for the lexer and error snippets
+        return text.split("\n")[lineno - 1]
+
+    for lineno, (rel, arg_text, raw) in enumerate(_LINE_RE.findall(text), start=1):
+        if rel:
+            args = args_of.get(arg_text)
+            if args is None:
+                args = args_of[arg_text] = _read_args(arg_text)
+        if not rel or args is None:  # another shape, or an integer out of range
+            raw = line(lineno) if rel else raw
             try:
                 f = _lex_fact_line(raw, file)
             except ParseError as pe:
                 raise ParseError(pe.message, file, lineno, pe.column, raw) from None
             if f is None:
                 continue
-        rel, arity = f.relation, len(f.args)
-        if schema is not None:
-            declared = schema.get(rel)
-            if declared is None:
+            rel, args = f.relation, f.args
+        bucket = rows.get(rel)
+        if bucket is None:
+            if schema is not None and rel not in schema:
                 raise ParseError(f"relation {rel} is not in the expected schema",
-                                 file, lineno, 1, raw)
-            if declared != arity:
-                raise ParseError(
-                    f"relation {rel} expects arity {declared}, got {arity}",
-                    file, lineno, 1, raw)
-        else:
-            known = seen.setdefault(rel, arity)
-            if known != arity:
-                raise ParseError(
-                    f"relation {rel} used with arities {known} and {arity}",
-                    file, lineno, 1, raw)
-        facts.append(f)
-    return Instance(dict(schema) if schema is not None else seen, facts)
+                                 file, lineno, 1, line(lineno))
+            bucket = rows[rel] = []
+            arity.setdefault(rel, len(args))
+        if len(args) != arity[rel]:
+            message = (f"relation {rel} expects arity {arity[rel]}, got {len(args)}"
+                       if schema is not None else
+                       f"relation {rel} used with arities {arity[rel]} and {len(args)}")
+            raise ParseError(message, file, lineno, 1, line(lineno))
+        bucket.append(args)
+    return Instance.from_rows(arity, rows)
 
 
 # --------------------------------------------------------------------------

@@ -428,6 +428,43 @@ assert "numpy" not in sys.modules, "numpy imported by the exact names"
 """)
 
 
+def test_no_command_imports_dataclasses(f1_files, tmp_path):
+    # The records are plain classes: no command loads `dataclasses`, which
+    # alone costs about 10 ms of imports per call.  The 17-rule exact select
+    # runs the numpy kernel.
+    gen17 = _generated(tmp_path, 17)
+    _run_script(f"""
+import sys
+from ruleselect.cli import main
+files = {f1_files!r}
+for argv in (["eval"] + files, ["check-feasible"] + files,
+             ["select", "--objective", "fpfn", "--method", "greedy"] + files,
+             ["select", "--objective", "fp", "--method", "greedy"] + files,
+             ["select", "--objective", "fp", "--method", "exact"] + files,
+             ["select", "--objective", "fpfn", "--method", "exact"] + {gen17!r},
+             ["pareto"] + files, ["bilevel"] + files,
+             ["member", "--point", "2,1"] + files,
+             ["gen", "thm3", "--out", {str(tmp_path / "gen")!r}]):
+    assert main(argv) == 0, argv
+assert "dataclasses" not in sys.modules, "dataclasses imported"
+""")
+
+
+def test_greedy_bound_value_is_at_least_one_without_rules(capsys, tmp_path):
+    # With no rule and no truth fact the bound formulas give 0, which no
+    # approximation factor can be; the reported bound is clamped at 1.
+    for name in ("rules.rules", "premise.facts", "truth.facts"):
+        (tmp_path / name).write_text("")
+    files = ["--rules", str(tmp_path / "rules.rules"),
+             "--premise", str(tmp_path / "premise.facts"),
+             "--truth", str(tmp_path / "truth.facts")]
+    for objective in ("fp", "fpfn"):
+        code, out, _ = run(capsys, ["select", "--objective", objective,
+                                    "--method", "greedy"] + files)
+        assert code == 0
+        assert (out["selected_rules"], out["error"], out["bound_value"]) == ([], 0, 1.0)
+
+
 def test_exact_commands_load_numpy_only_past_16_enumerated_rules(capsys, f1_files, tmp_path):
     # Up to 16 enumerated rules (FP: the free ones) run in pure Python: the
     # FP commands on f1 and on 16 rules with 15 free, and FPFN on exactly 16.

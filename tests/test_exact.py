@@ -20,7 +20,7 @@ from ruleselect import (
     solve_exact,
 )
 from ruleselect import _kernels, exact
-from ruleselect._bitset import PackedUniverse, subset_profile
+from ruleselect._bitset import MAX_UNION_WORDS, PackedUniverse, subset_profile
 from ruleselect.generators import GenSeed, gen_random_ruleselect
 
 from oracles import brute_force_front, brute_force_optimum, subset_fp_fn
@@ -319,6 +319,21 @@ def test_kernels_refuse_work_past_the_limit():
     # the pure-Python path has the same limit: 2^16 subsets over 2^16 + 1 words
     with pytest.raises(CapacityError, match="word visits"):
         subset_profile([1] * 16, [0] * 16, 1, 2**16 + 1, False)
+
+
+def test_enumerations_refuse_union_tables_past_the_memory_limit():
+    # Both paths hold the unions of 2^min(n, 16) subsets at once.  One word
+    # past MAX_UNION_WORDS is refused before anything is allocated, well
+    # within the visit limit; the default 24-rule cap over 256 words fits.
+    words = MAX_UNION_WORDS // 2**16 + 1
+    assert 2**16 * words <= _kernels.MAX_WORD_VISITS
+    assert 2**16 * 256 <= MAX_UNION_WORDS
+    with pytest.raises(CapacityError, match=f"{2**16:,} subset unions over {words} fact words"):
+        subset_profile([0] * 16, [0] * 16, 0, words, False)
+    with pytest.raises(CapacityError, match=f"{2**16:,} subset unions over {words} fact words"):
+        _kernels.size_profile_masks(np.zeros((17, words), dtype=np.uint64),
+                                    np.zeros(17, dtype=np.int64),
+                                    np.zeros(words, dtype=np.uint64))
 
 
 def test_exact_witness_is_lowest_mask_not_smallest_front_point():

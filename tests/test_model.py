@@ -1,3 +1,4 @@
+import copy
 import pickle
 from decimal import Decimal
 
@@ -5,9 +6,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ruleselect import (
+    BuiltinAtom,
+    CoverSelection,
+    DataExample,
+    ErrorReport,
     EvalLimits,
+    ExactConfig,
     Fact,
     Instance,
+    ParetoPoint,
+    PnpscInstance,
+    RbscInstance,
     RelationalAtom,
     Rule,
     RuleSet,
@@ -15,12 +24,14 @@ from ruleselect import (
     ValidationError,
     const,
     fact,
+    parse_facts,
     parse_rules,
     rule_size,
     ruleset_size,
     validate,
     var,
 )
+from ruleselect.generators import GenSeed, SetCoverInstance
 from ruleselect.model import checked_fact
 
 
@@ -105,10 +116,93 @@ def test_instance_rejects_arity_mismatch():
 def test_instance_buckets_hold_each_fact_once():
     inst = Instance({"B": 1, "C": 1},
                     [fact("B", 1), fact("B", Decimal("1.0")), fact("B", "1"), fact("B", 1)])
-    assert sorted(map(str, inst.bucket("B"))) == ['B("1")', "B(1)"]
+    # argument tuples; of the numerically equal 1 and 1.0 the first one stays
+    assert sorted(map(repr, inst.bucket("B"))) == ["('1',)", "(1,)"]
     assert inst.bucket("C") == () and inst.bucket("D") == ()
     with pytest.raises(ValidationError, match="undeclared relation D"):
         Instance({"B": 1}, [fact("B", 1), fact("D", 1)])
+
+
+def test_instance_keeps_its_facts_and_counts_its_rows():
+    facts = frozenset([fact("B", 1), fact("B", "u"), fact("C", 2, 3)])
+    inst = Instance({"B": 1, "C": 2}, facts)
+    assert inst.facts is facts and len(inst) == 3  # built from facts: no second set
+    rows = Instance.from_rows({"B": 1, "C": 2}, {"B": [(Decimal("1.0"),), ("u",), (1,)],
+                                                 "C": [(2, 3), (2, 3)]})
+    assert len(rows) == 3 and rows.bucket("B") == ((Decimal("1.0"),), ("u",))
+    assert rows == inst and hash(rows) == hash(inst)
+    assert sorted(map(repr, rows.facts)) == sorted(map(repr, [
+        fact("B", Decimal("1.0")), fact("B", "u"), fact("C", 2, 3)]))
+    assert rows.facts is rows.facts  # built once, on first read
+    with pytest.raises(ValidationError, match=r"^fact C/1 does not match declared arity 2$"):
+        Instance.from_rows({"C": 2}, {"C": [(2, 3), (4,)]})
+    with pytest.raises(ValidationError, match=r"^relation B has arity 0 < 1$"):
+        Instance({"B": 0}, ())
+
+
+_RECORDS = [
+    lambda: Term(var="x"),
+    lambda: Term(None, 5),
+    lambda: RelationalAtom("S", (var("x"),)),
+    lambda: BuiltinAtom("jaccard_geq", (var("x"), const("a b")), Decimal("0.5")),
+    lambda: Rule("r", (RelationalAtom("S", (var("x"),)),), RelationalAtom("B", (var("x"),))),
+    lambda: DataExample(parse_facts("S(1)"), Instance.empty({"B": 1})),
+    lambda: ErrorReport(fp=frozenset({fact("B", 1)}), fn=frozenset()),
+    lambda: EvalLimits(2, max_conclusion_arity=3),
+    lambda: ParetoPoint(error=1, size=2),
+    lambda: ParetoPoint(1, 2, frozenset({"r"})),
+    lambda: ExactConfig(),
+    lambda: ExactConfig(5, objective="fp"),
+    lambda: RbscInstance(red=frozenset({"x"}), blue=frozenset({"b"}),
+                         sets=(("s", frozenset({"x", "b"})),)),
+    lambda: PnpscInstance(frozenset({"p"}), frozenset(), ()),
+    lambda: CoverSelection(chosen=("s",), cost=1),
+    lambda: SetCoverInstance(("u1", "u2"), (frozenset({"u1", "u2"}),)),
+    lambda: GenSeed(1, 3, 2, fp_noise=0.5),
+]
+
+
+@pytest.mark.parametrize("make", _RECORDS)
+def test_records_are_immutable_values(make):
+    record, again = make(), make()
+    assert record == again and hash(record) == hash(again) and record is not again
+    assert record != "other" and record.__class__.__name__ in repr(record)
+    name = record.__slots__[0]
+    with pytest.raises(AttributeError):
+        setattr(record, name, None)
+    with pytest.raises(AttributeError):
+        delattr(record, name)
+    with pytest.raises(AttributeError):
+        record.other = None
+    assert pickle.loads(pickle.dumps(record)) == record == copy.copy(record)
+
+
+def test_records_keep_their_defaults_and_checks():
+    assert (ExactConfig().max_rules, ExactConfig().objective) == (24, "fpfn")
+    assert ParetoPoint(1, 2).witness is None and BuiltinAtom("eq", (var("x"), var("y"))).threshold is None
+    assert (GenSeed(1, 2, 3).density, GenSeed(1, 2, 3).join_rules) == (0.3, 0)
+    assert ParetoPoint(1, 2) != ParetoPoint(1, 3) and Term(var="x") != Term(const="x")
+    assert repr(ParetoPoint(1, 2)) == "ParetoPoint(error=1, size=2, witness=None)"
+    checks = [
+        (lambda: Term(), "term must be exactly one of variable or constant"),
+        (lambda: RelationalAtom("S", ()), r"atom S\(\) needs at least one term"),
+        (lambda: BuiltinAtom("nope", ()), "unknown builtin 'nope'"),
+        (lambda: BuiltinAtom("eq", (var("x"),)), "builtin eq takes 2 terms"),
+        (lambda: BuiltinAtom("eq", (var("x"), var("y")), Decimal(1)),
+         "builtin eq: bad threshold usage"),
+        (lambda: Rule("", (), None), "rule needs a name"),
+        (lambda: Rule("r", (), None), "rule r: premise must be non-empty"),
+        (lambda: EvalLimits(0, 1), "evaluation limits must be positive"),
+        (lambda: ExactConfig(objective="f1"), "objective must be one of"),
+        (lambda: ExactConfig(max_rules=0), "max_rules must be positive"),
+        (lambda: GenSeed(1, 0, 1), "need at least one universe element and one set"),
+        (lambda: SetCoverInstance(("u",), ()), "union of the sets must equal the universe"),
+        (lambda: RbscInstance(frozenset({"x"}), frozenset({"x"}), ()),
+         "red and blue elements overlap"),
+    ]
+    for make, message in checks:
+        with pytest.raises(ValidationError, match=f"^{message}"):
+            make()
 
 
 def test_rule_size_single_atom():

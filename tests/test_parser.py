@@ -4,7 +4,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ruleselect import (
-    Instance,
     ParseError,
     ValidationError,
     parse_facts,
@@ -12,8 +11,9 @@ from ruleselect import (
     write_facts,
     write_rules,
 )
+from ruleselect import parser
 from ruleselect.generators import GenSeed, gen_random_ruleselect
-from ruleselect.parser import _fast_fact_line, _lex_fact_line, _parse_fact_line
+from ruleselect.parser import _lex_fact_line
 
 from conftest import F1_PREMISE, F1_RULES
 
@@ -191,7 +191,19 @@ def _outcome(parse_line, raw):
         return (e.message, e.line, e.column)
 
 
-# Lines one token away from the fast path's shape, pinned as examples.
+def _one_line_outcome(line, file):
+    """`parse_facts` on a one-line text, shaped as `_lex_fact_line`'s outcome."""
+    assert len(line.splitlines()) <= 1
+    try:
+        inst = parse_facts(line, file=file)
+    except ParseError as e:
+        assert e.snippet == line
+        raise
+    (f,) = inst.facts or (None,)
+    return f
+
+
+# Lines one token away from the canonical shape, pinned as examples.
 _EDGE_LINES = [
     "A(1.)", "A(1.5.2)", "A(-)", "A(--1)", "A(-> 1)", "A(.5)", "A()", "A(1,)", "A(,1)",
     "A(1 2)", "A(1)x", "A(1) # c", "# only", "", " \t", "a(1)", "neq(1, 2)", "É(1)",
@@ -203,35 +215,45 @@ _EDGE_LINES = [
 @settings(max_examples=400)
 @given(st.one_of(_fact_lines(), st.text(max_size=40)))
 def test_fact_fast_path_agrees_with_lexer(raw):
-    assert _outcome(_parse_fact_line, raw) == _outcome(_lex_fact_line, raw)
+    # parse_facts on each one-line text reads it as the lexer does.
+    for line in raw.splitlines():
+        assert _outcome(_one_line_outcome, line) == _outcome(_lex_fact_line, line)
 
 
 for _raw in _EDGE_LINES:
     test_fact_fast_path_agrees_with_lexer = example(_raw)(test_fact_fast_path_agrees_with_lexer)
 
 
-def test_canonical_fact_lines_take_the_fast_path():
+def test_canonical_fact_lines_take_the_fast_path(monkeypatch):
     lines = ['A("a\\"b\\\\c")', 'Rel_2(-7, 2.50, "é # ,)")', 'B(\t1 ,"" )',
              f"N({2**63 - 1}, {-2**63})"]
-    for raw in lines:
-        assert _fast_fact_line(raw) is not None, raw
-        assert repr(_fast_fact_line(raw)) == _outcome(_lex_fact_line, raw)
-    assert _fast_fact_line(f"N({2**63})") is None  # out of range: the lexer reports it
+    expected = [_outcome(_lex_fact_line, raw) for raw in lines]
+    lexed = []
+    monkeypatch.setattr(parser, "_lex_fact_line",
+                        lambda raw, file: lexed.append(raw) or _lex_fact_line(raw, file))
+    for raw, want in zip(lines, expected):
+        assert _outcome(_one_line_outcome, raw) == want
+    assert lexed == []  # every canonical line is read without the lexer
+    with pytest.raises(ParseError, match="outside the 64-bit range"):
+        parse_facts(f"N({2**63})")
+    assert lexed == [f"N({2**63})"]  # out of range: the lexer reports it
 
 
 def _file_outcome(text):
     try:
-        return parse_facts(text)
+        inst = parse_facts(text)
     except ParseError as e:
         return (e.message, e.line, e.column, e.snippet)
+    return inst.schema, sorted(map(repr, inst.facts))
 
 
 def _line_by_line(text):
-    """`_file_outcome` rebuilt from `_parse_fact_line`, one line at a time."""
+    """`_file_outcome` rebuilt from `_lex_fact_line`, one line at a time; of
+    numerically equal facts the first one kept, as a frozenset keeps it."""
     arities, facts = {}, []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         try:
-            f = _parse_fact_line(raw, "<facts>")
+            f = _lex_fact_line(raw, "<facts>")
         except ParseError as e:
             return (e.message, lineno, e.column, raw)
         if f is None:
@@ -241,26 +263,44 @@ def _line_by_line(text):
             return (f"relation {f.relation} used with arities {known} and {len(f.args)}",
                     lineno, 1, raw)
         facts.append(f)
-    return Instance(arities, facts)
+    return arities, sorted(map(repr, frozenset(facts)))
 
 
-# Lines of the fast path's shape whose argument lists often repeat.
+# Every line break `str.splitlines` knows, and text that holds them.
+_BREAKS = st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+                           "\x85", "\u2028", "\u2029"])
+_BREAK_CHARS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+# Lines of the canonical shape whose argument lists often repeat, numerically
+# equal spellings among them.
 _COMMON_LINES = st.builds(
     lambda blank, constant: f"{blank}A({constant}){blank}",
     _BLANKS,
     st.one_of(
-        st.text(alphabet=st.sampled_from('ab "\\é'), max_size=3).map(_quote),
+        st.text(alphabet=st.sampled_from('ab "\\é' + _BREAK_CHARS), max_size=3).map(_quote),
         st.integers(min_value=-3, max_value=3).map(str),
         st.sampled_from(["1.0", "1.00", "-0", str(2**63 - 1), str(2**63), str(-2**63 - 1)])))
+_OTHER_LINES = st.sampled_from(["", " \t", "# note", "  # A(1)", "A(1) # c"])
 
 
 @settings(max_examples=300)
-@given(st.lists(st.one_of(_COMMON_LINES, _COMMON_LINES, _COMMON_LINES, _fact_lines()),
-                max_size=10))
-@example(["A(1)", "A(12)", "A(1)", "A(1.0)", 'A("1")'])
-@example(["A(1)", f"A({2**63})", f"A({2**63})"])
-def test_parse_facts_agrees_with_line_by_line(lines):
-    # parse_facts reads each distinct argument list once per call, and a
-    # file must still parse as its lines do one at a time.
-    text = "\n".join(lines)
+@given(st.lists(st.tuples(st.one_of(_COMMON_LINES, _COMMON_LINES, _COMMON_LINES,
+                                    _OTHER_LINES, _fact_lines()), _BREAKS),
+                max_size=10),
+       st.booleans())
+@example([("A(1)", "\n"), ("A(12)", "\n"), ("A(1)", "\n"), ("A(1.0)", "\n"), ('A("1")', "\n")],
+         False)
+@example([("A(1)", "\n"), (f"A({2**63})", "\n"), (f"A({2**63})", "\n")], False)
+@example([("A(1.00)", "\r\n"), ("", "\r\n"), ("# c", "\r"), ("A(1)", "\x85"),
+          ("A(1.0)", "\u2028")], True)
+@example([("A(1)", "\n"), ("A(1.0)", "\n"), ("A(1.00)", "\n")], False)
+@example([('A("a', "\u2029"), ('b")', "\x0c"), ("A(1, 2)", "\r\n")], True)
+def test_parse_facts_agrees_with_line_by_line(lines, trailing):
+    # parse_facts reads the whole text in one pass, each distinct argument
+    # list once, and a file must still parse as its lines do one at a time:
+    # the same facts with the same spellings, or the same error at the same
+    # line, for every line break and wherever it falls.
+    text = "".join(line + brk for line, brk in lines)
+    if lines and not trailing:
+        text = text[:-len(lines[-1][1])]
     assert _file_outcome(text) == _line_by_line(text)
