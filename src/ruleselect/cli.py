@@ -327,11 +327,23 @@ def main(argv=None) -> int:
     except OSError as e:
         _error("io_error", str(e))
         return EXIT_USAGE
+    except ImportError as e:  # numpy, past the pure-Python enumeration
+        _error("usage", str(e))
+        return EXIT_USAGE
     except Exception as e:  # contract: failures are always a JSON object on stderr
         _error("internal_error", f"{type(e).__name__}: {e}")
         return EXIT_USAGE
     report["runtime_ms"] = int((time.perf_counter() - start) * 1000)
-    _emit(_ordered(report), getattr(args, "pretty", False), sys.stdout)
+    try:
+        _emit(_ordered(report), getattr(args, "pretty", False), sys.stdout)
+        sys.stdout.flush()
+    except OSError as e:  # stdout closed, say by the reader of a pipe
+        # Point stdout at devnull, so the flush at exit prints nothing more.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        _error("io_error", str(e))
+        return EXIT_USAGE
     return EXIT_OK
 
 

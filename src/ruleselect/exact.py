@@ -119,7 +119,12 @@ def _profile(rows: list, j: int, n_words: int, fp_only: bool, sizes=None) -> tup
     """
     if len(rows) <= PURE_PYTHON_RULES:
         return subset_profile(rows, sizes or [0] * len(rows), j, n_words, fp_only)
-    from . import _kernels  # loads numpy
+    try:
+        from . import _kernels  # loads numpy
+    except ImportError as e:
+        raise ImportError(f"enumerating {len(rows)} free rules needs numpy, which did not import "
+                          f"({e}); up to {PURE_PYTHON_RULES} free rules run without it",
+                          name="numpy") from None
 
     masks = _kernels.as_words(rows, n_words)
     j_mask = _kernels.as_words([j], n_words)[0]

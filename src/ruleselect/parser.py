@@ -48,132 +48,74 @@ class ParseError(ValueError):
 # Lexer
 # --------------------------------------------------------------------------
 
-_PUNCT = {"(", ")", ",", ".", ":"}
-_DIGITS = frozenset("0123456789")
+# The constants of both formats: strings with \" and \\ escapes and no "\n",
+# 64-bit integers and exact decimals.  `_STRING_HEAD` is a string up to its
+# closing quote; where no quote follows, the lexer names what stopped it.
+_STRING_HEAD = r'"[^"\\\n]*(?:\\["\\][^"\\\n]*)*'
+_STRING = _STRING_HEAD + '"'
+_NUMBER = r"-?[0-9]+(?:\.[0-9]+)?"
+_STRING_HEAD_RE = re.compile(_STRING_HEAD)
+_ESCAPE_RE = re.compile(r"\\(.)")
+
+# Blanks and comments, then one token.  `other` matches any other character,
+# which is an error, or the end of the text.  Only "\n" ends a comment; the
+# other line breaks `str.splitlines` knows number the lines of error messages.
+_TOKEN_RE = re.compile(
+    rf"(?:[ \t\r\n]+|#[^\n]*)*(?:(?P<arrow>->)|(?P<number>{_NUMBER})|(?P<string>{_STRING})"
+    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<punct>[(),.:])|(?P<other>.|\Z))", re.S)
 
 
-class _Token:
-    __slots__ = ("kind", "value", "line", "col")
+def _constant(raw: str):
+    """The value of a string or number literal; None for an integer outside
+    the 64-bit range."""
+    if raw[0] == '"':
+        text = raw[1:-1]
+        return _ESCAPE_RE.sub(r"\1", text) if "\\" in text else text
+    if "." in raw:
+        return Decimal(raw)
+    n = int(raw)
+    return n if INT64_MIN <= n <= INT64_MAX else None
 
-    def __init__(self, kind, value, line, col):
-        self.kind = kind  # ident | string | number | punct | arrow | eof
-        self.value = value
-        self.line = line
-        self.col = col
+
+def _fail(text: str, file: str, message: str, pos: int):
+    """Raise a ParseError at offset `pos` of `text`, with lines numbered as
+    `str.splitlines` splits them and that line as the snippet."""
+    head = (text[:pos] + ".").splitlines()  # the dot keeps the line `pos` is on
+    snippet = text.splitlines()[len(head) - 1:] or [""]
+    raise ParseError(message, file, len(head), len(head[-1]), snippet[0])
 
 
-class _Lexer:
-    def __init__(self, text: str, file: str):
-        self.text = text
-        self.file = file
-        self.pos = 0
-        self.line = 1
-        self.col = 1
+def _tokens(text: str, file: str):
+    """(kind, value, offset) of each token of `text` -- ident, string,
+    number, punct or arrow -- then of ("eof", "") for ever.
 
-    def error(self, message: str, line=None, col=None):
-        line = self.line if line is None else line
-        col = self.col if col is None else col
-        lines = self.text.splitlines()
-        snippet = lines[line - 1] if 0 < line <= len(lines) else ""
-        raise ParseError(message, self.file, line, col, snippet)
-
-    def _advance(self, n=1):
-        for _ in range(n):
-            if self.pos < len(self.text):
-                if self.text[self.pos] == "\n":
-                    self.line += 1
-                    self.col = 1
-                else:
-                    self.col += 1
-                self.pos += 1
-
-    def _peek(self, off=0):
-        i = self.pos + off
-        return self.text[i] if i < len(self.text) else ""
-
-    def _skip_space_and_comments(self):
-        while self.pos < len(self.text):
-            c = self.text[self.pos]
-            if c == "#":
-                while self.pos < len(self.text) and self.text[self.pos] != "\n":
-                    self._advance()
-            elif c in " \t\r\n":
-                self._advance()
-            else:
-                return
-
-    def _lex_string(self):
-        line, col = self.line, self.col
-        self._advance()  # opening quote
-        out = []
-        while True:
-            c = self._peek()
-            if c == "":
-                self.error("unterminated string", line, col)
-            if c == "\n":
-                self.error("newline inside string", line, col)
-            if c == '"':
-                self._advance()
-                return _Token("string", "".join(out), line, col)
-            if c == "\\":
-                esc = self._peek(1)
-                if esc not in ('"', "\\"):
-                    self.error(f"unknown escape \\{esc or '<eof>'}")
-                out.append(esc)
-                self._advance(2)
-            else:
-                out.append(c)
-                self._advance()
-
-    def _lex_number(self):
-        line, col = self.line, self.col
-        start = self.pos
-        if self._peek() == "-":
-            self._advance()
-        if self._peek() not in _DIGITS:
-            self.error("expected digits after '-'", line, col)
-        while self._peek() in _DIGITS:
-            self._advance()
-        is_decimal = False
-        if self._peek() == "." and self._peek(1) in _DIGITS:
-            is_decimal = True
-            self._advance()
-            while self._peek() in _DIGITS:
-                self._advance()
-        raw = self.text[start:self.pos]
-        if is_decimal:
-            return _Token("number", Decimal(raw), line, col)
-        n = int(raw)
-        if not INT64_MIN <= n <= INT64_MAX:
-            self.error(f"integer {raw} outside the 64-bit range", line, col)
-        return _Token("number", n, line, col)
-
-    def next(self) -> _Token:
-        self._skip_space_and_comments()
-        line, col = self.line, self.col
-        c = self._peek()
-        if c == "":
-            return _Token("eof", "", line, col)
-        if c == '"':
-            return self._lex_string()
-        if c == "-" and self._peek(1) == ">":
-            self._advance(2)
-            return _Token("arrow", "->", line, col)
-        if c == "-" or c in _DIGITS:
-            return self._lex_number()
-        if c in _PUNCT:
-            self._advance()
-            return _Token("punct", c, line, col)
-        if c.isascii() and (c.isalpha() or c == "_"):
-            start = self.pos
-            while True:
-                ch = self._peek()
-                if ch.isascii() and (ch.isalnum() or ch == "_"):
-                    self._advance()
-                else:
-                    break
-            return _Token("ident", self.text[start:self.pos], line, col)
-        self.error(f"unexpected character {c!r}")
+    Lazy: a token's lexical error is raised when the parser asks for that
+    token, so any syntax error before it is reported first.
+    """
+    pos = 0
+    while True:
+        m = _TOKEN_RE.match(text, pos)
+        kind = m.lastgroup
+        start, pos = m.span(kind)
+        value = m[kind]
+        if kind == "string" or kind == "number":
+            value = _constant(value)
+            if value is None:
+                _fail(text, file, f"integer {m[kind]} outside the 64-bit range", start)
+        elif kind == "other":
+            if value == '"':
+                end = _STRING_HEAD_RE.match(text, start).end()
+                if end == len(text):
+                    _fail(text, file, "unterminated string", start)
+                if text[end] == "\n":
+                    _fail(text, file, "newline inside string", start)
+                _fail(text, file, f"unknown escape \\{text[end + 1:end + 2] or '<eof>'}", end)
+            if value == "-":
+                _fail(text, file, "expected digits after '-'", start)
+            if value:
+                _fail(text, file, f"unexpected character {value!r}", start)
+            kind = "eof"
+        yield kind, value, start
 
 
 # --------------------------------------------------------------------------
@@ -183,42 +125,44 @@ class _Lexer:
 
 class _RuleParser:
     def __init__(self, text: str, file: str):
-        self.lexer = _Lexer(text, file)
-        self.tok = self.lexer.next()
+        self.text = text
+        self.file = file
+        self.tokens = _tokens(text, file)
+        self._advance()
         self._anon_counter = 0
 
     def _advance(self):
-        self.tok = self.lexer.next()
+        self.kind, self.value, self.pos = next(self.tokens)
 
-    def error(self, message: str):
-        self.lexer.error(message, self.tok.line, self.tok.col)
+    def error(self, message: str, pos: Optional[int] = None):
+        _fail(self.text, self.file, message, self.pos if pos is None else pos)
 
     def expect(self, kind, value=None):
-        if self.tok.kind != kind or (value is not None and self.tok.value != value):
+        if self.kind != kind or (value is not None and self.value != value):
             want = value if value is not None else kind
-            got = self.tok.value if self.tok.kind != "eof" else "<eof>"
+            got = self.value if self.kind != "eof" else "<eof>"
             self.error(f"expected {want!r}, got {got!r}")
-        tok = self.tok
+        value = self.value
         self._advance()
-        return tok
+        return value
 
     def parse(self) -> RuleSet:
         rules = []
-        while self.tok.kind != "eof":
+        while self.kind != "eof":
             rules.append(self._ruledef())
         ruleset = RuleSet.infer(rules)
         validate(ruleset)
         return ruleset
 
     def _ruledef(self) -> Rule:
-        kw = self.expect("ident")
-        if kw.value != "rule":
-            self.lexer.error("expected 'rule'", kw.line, kw.col)
-        name = self.expect("ident").value
+        pos = self.pos
+        if self.expect("ident") != "rule":
+            self.error("expected 'rule'", pos)
+        name = self.expect("ident")
         self.expect("punct", ":")
         self._anon_counter = 0
         atoms = [self._atom()]
-        while self.tok.kind == "punct" and self.tok.value == ",":
+        while self.kind == "punct" and self.value == ",":
             self._advance()
             atoms.append(self._atom())
         self.expect("arrow")
@@ -227,82 +171,70 @@ class _RuleParser:
         return Rule(name, tuple(atoms), head)
 
     def _atom(self):
-        name_tok = self.expect("ident")
-        name = name_tok.value
+        pos = self.pos
+        name = self.expect("ident")
         if name in BUILTIN_NAMES:
-            return self._builtin(name, name_tok)
+            return self._builtin(name)
         if not name[0].isupper():
-            self.lexer.error(
-                f"relation names start with an uppercase letter, got {name!r}",
-                name_tok.line, name_tok.col)
-        terms = self._term_list()
-        return RelationalAtom(name, tuple(terms))
+            self.error(f"relation names start with an uppercase letter, got {name!r}", pos)
+        return RelationalAtom(name, tuple(self._term_list()))
 
-    def _builtin(self, name: str, name_tok):
+    def _builtin(self, name: str):
         self.expect("punct", "(")
         if name == "jaccard_geq":
             t1 = self._term()
             self.expect("punct", ",")
             t2 = self._term()
             self.expect("punct", ",")
-            thr_tok = self.tok
-            if thr_tok.kind != "number":
+            if self.kind != "number":
                 self.error("jaccard_geq threshold must be a numeric literal")
+            threshold = Decimal(self.value)
             self._advance()
             self.expect("punct", ")")
-            return BuiltinAtom(name, (t1, t2), threshold=Decimal(thr_tok.value))
+            return BuiltinAtom(name, (t1, t2), threshold=threshold)
         t1 = self._term()
         self.expect("punct", ",")
         if name in ("geq", "leq"):
-            bound_tok = self.tok
-            if bound_tok.kind != "number":
+            if self.kind != "number":
                 self.error(f"{name} bound must be a numeric literal")
+            t2 = Term(const=self.value)
             self._advance()
-            t2 = Term(const=bound_tok.value)
         else:
             t2 = self._term()
         self.expect("punct", ")")
         return BuiltinAtom(name, (t1, t2))
 
     def _head_atom(self) -> RelationalAtom:
-        name_tok = self.expect("ident")
-        name = name_tok.value
+        pos = self.pos
+        name = self.expect("ident")
         if name in BUILTIN_NAMES:
-            self.lexer.error("builtins cannot be rule conclusions",
-                             name_tok.line, name_tok.col)
+            self.error("builtins cannot be rule conclusions", pos)
         if not name[0].isupper():
-            self.lexer.error(
-                f"relation names start with an uppercase letter, got {name!r}",
-                name_tok.line, name_tok.col)
-        terms = self._term_list()
-        return RelationalAtom(name, tuple(terms))
+            self.error(f"relation names start with an uppercase letter, got {name!r}", pos)
+        return RelationalAtom(name, tuple(self._term_list()))
 
     def _term_list(self):
         self.expect("punct", "(")
         terms = [self._term()]
-        while self.tok.kind == "punct" and self.tok.value == ",":
+        while self.kind == "punct" and self.value == ",":
             self._advance()
             terms.append(self._term())
         self.expect("punct", ")")
         return terms
 
     def _term(self) -> Term:
-        tok = self.tok
-        if tok.kind == "ident":
+        kind, value, pos = self.kind, self.value, self.pos
+        if kind == "ident":
             self._advance()
-            if tok.value == "_":
+            if value == "_":
                 self._anon_counter += 1
                 return Term(var=f"_#{self._anon_counter}")
-            if tok.value in BUILTIN_NAMES:
-                self.lexer.error(f"{tok.value!r} is a reserved builtin name",
-                                 tok.line, tok.col)
-            return Term(var=tok.value)
-        if tok.kind == "string":
+            if value in BUILTIN_NAMES:
+                self.error(f"{value!r} is a reserved builtin name", pos)
+            return Term(var=value)
+        if kind == "string" or kind == "number":
             self._advance()
-            return Term(const=tok.value)
-        if tok.kind == "number":
-            self._advance()
-            return Term(const=tok.value)
+            return Term(const=value)
         self.error("expected a term")
 
 
@@ -317,75 +249,62 @@ def parse_rules(text: str, file: str = "<rules>") -> RuleSet:
 
 
 # The common shape of a fact line: an ASCII relation name starting uppercase,
-# then constants (strings with \" and \\ escapes, integers, decimals) with
-# blanks or tabs between tokens.  Over a text whose line breaks are all "\n",
-# `_LINE_RE.findall` gives one triple per line: (relation, argument text, "")
-# for a line of that shape, ("", "", line) for any other.  Other lines --
-# blanks, comments, malformed input -- and lines with an out-of-range integer
-# go to the lexer, which alone produces ParseError messages and positions.
-_STRING = r'"[^"\\\n]*(?:\\["\\][^"\\\n]*)*"'
-_NUMBER = r"-?[0-9]+(?:\.[0-9]+)?"
+# then constants with blanks or tabs between tokens.  Over a text whose line
+# breaks are all "\n", `_LINE_RE.findall` gives one triple per line:
+# (relation, argument text, "") for a line of that shape, ("", "", line) for
+# any other.  Other lines -- blanks, comments, malformed input -- and lines
+# with an out-of-range integer go to the lexer, which alone produces
+# ParseError messages and positions.
 _CONST = f"(?:{_STRING}|{_NUMBER})"
 _LINE_RE = re.compile(
     rf"^(?:[ \t]*([A-Z][A-Za-z0-9_]*)[ \t]*\([ \t]*({_CONST}(?:[ \t]*,[ \t]*{_CONST})*)"
     rf"[ \t]*\)[ \t]*$|(.*))", re.M)
-_CONST_RE = re.compile(f"({_STRING})|({_NUMBER})")
-_ESCAPE_RE = re.compile(r"\\(.)")
+_CONST_RE = re.compile(_CONST)
 
 
 def _read_args(arg_text: str) -> Optional[tuple]:
     """The constants of a matched argument text; None when an integer is out
     of range, which the lexer reports."""
     args = []
-    for quoted, number in _CONST_RE.findall(arg_text):
-        if quoted:
-            text = quoted[1:-1]
-            if "\\" in text:
-                text = _ESCAPE_RE.sub(r"\1", text)
-            args.append(text)
-        elif "." in number:
-            args.append(Decimal(number))
-        else:
-            n = int(number)
-            if not INT64_MIN <= n <= INT64_MAX:
-                return None
-            args.append(n)
+    for raw in _CONST_RE.findall(arg_text):
+        value = _constant(raw)
+        if value is None:
+            return None
+        args.append(value)
     return tuple(args)
 
 
 def _lex_fact_line(raw: str, file: str) -> Optional[Fact]:
-    """The fact on one line, through the positioned lexer, for every line
-    shape; None for blank/comment-only lines.  Positions are line-local."""
-    lexer = _Lexer(raw, file)
-    tok = lexer.next()
-    if tok.kind == "eof":
+    """The fact on one line, through the lexer, for every line shape; None
+    for blank/comment-only lines."""
+    tokens = _tokens(raw, file)
+    kind, rel, pos = next(tokens)
+    if kind == "eof":
         return None
-    if tok.kind != "ident" or not tok.value[0].isupper():
-        lexer.error("expected a relation name", 1, tok.col)
-    rel = tok.value
+    if kind != "ident" or not rel[0].isupper():
+        _fail(raw, file, "expected a relation name", pos)
     if rel in BUILTIN_NAMES:
-        lexer.error(f"{rel!r} is a reserved builtin name", 1, tok.col)
-    tok = lexer.next()
-    if not (tok.kind == "punct" and tok.value == "("):
-        lexer.error("expected '('", 1, tok.col)
+        _fail(raw, file, f"{rel!r} is a reserved builtin name", pos)
+    kind, value, pos = next(tokens)
+    if not (kind == "punct" and value == "("):
+        _fail(raw, file, "expected '('", pos)
     args = []
     while True:
-        tok = lexer.next()
-        if tok.kind in ("string", "number"):
-            args.append(tok.value)
-        else:
-            got = tok.value if tok.kind != "eof" else "<eol>"
-            lexer.error(f"expected a constant term, got {got!r}", 1, tok.col)
-        tok = lexer.next()
-        if tok.kind == "punct" and tok.value == ",":
+        kind, value, pos = next(tokens)
+        if kind not in ("string", "number"):
+            got = value if kind != "eof" else "<eol>"
+            _fail(raw, file, f"expected a constant term, got {got!r}", pos)
+        args.append(value)
+        kind, value, pos = next(tokens)
+        if kind == "punct" and value == ",":
             continue
-        if tok.kind == "punct" and tok.value == ")":
+        if kind == "punct" and value == ")":
             break
-        got = tok.value if tok.kind != "eof" else "<eol>"
-        lexer.error(f"expected ',' or ')', got {got!r}", 1, tok.col)
-    tok = lexer.next()
-    if tok.kind != "eof":
-        lexer.error(f"unexpected trailing input {tok.value!r}", 1, tok.col)
+        got = value if kind != "eof" else "<eol>"
+        _fail(raw, file, f"expected ',' or ')', got {got!r}", pos)
+    kind, value, pos = next(tokens)
+    if kind != "eof":
+        _fail(raw, file, f"unexpected trailing input {value!r}", pos)
     return Fact(rel, tuple(args))
 
 

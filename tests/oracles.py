@@ -9,10 +9,11 @@ from __future__ import annotations
 import hashlib
 import re
 from fractions import Fraction
+from decimal import Decimal
 from itertools import product
 
-from ruleselect.model import BuiltinAtom, Fact, RelationalAtom
-from ruleselect.parser import write_facts, write_rules
+from ruleselect.model import INT64_MAX, INT64_MIN, BuiltinAtom, Fact, RelationalAtom
+from ruleselect.parser import ParseError, write_facts, write_rules
 
 
 def instance_digest(rules, example) -> str:
@@ -249,3 +250,137 @@ def reference_pnpsc_approx(positive, negative, sets):
     chosen = tuple(label for label in labels if label in original)
     union = set().union(*(members for label, members in sets if label in chosen))
     return chosen, len(positive - union) + len(negative & union)
+
+
+# --------------------------------------------------------------------------
+# The character-stepping rule lexer the parser's token pattern replaced,
+# kept as the reference for its tokens, messages and error positions.  It
+# counts lines by "\n" alone.
+# --------------------------------------------------------------------------
+
+_PUNCT = {"(", ")", ",", ".", ":"}
+_DIGITS = frozenset("0123456789")
+
+
+class _Token:
+    __slots__ = ("kind", "value", "line", "col")
+
+    def __init__(self, kind, value, line, col):
+        self.kind = kind  # ident | string | number | punct | arrow | eof
+        self.value = value
+        self.line = line
+        self.col = col
+
+
+class _Lexer:
+    def __init__(self, text: str, file: str):
+        self.text = text
+        self.file = file
+        self.pos = 0
+        self.line = 1
+        self.col = 1
+
+    def error(self, message: str, line=None, col=None):
+        line = self.line if line is None else line
+        col = self.col if col is None else col
+        lines = self.text.splitlines()
+        snippet = lines[line - 1] if 0 < line <= len(lines) else ""
+        raise ParseError(message, self.file, line, col, snippet)
+
+    def _advance(self, n=1):
+        for _ in range(n):
+            if self.pos < len(self.text):
+                if self.text[self.pos] == "\n":
+                    self.line += 1
+                    self.col = 1
+                else:
+                    self.col += 1
+                self.pos += 1
+
+    def _peek(self, off=0):
+        i = self.pos + off
+        return self.text[i] if i < len(self.text) else ""
+
+    def _skip_space_and_comments(self):
+        while self.pos < len(self.text):
+            c = self.text[self.pos]
+            if c == "#":
+                while self.pos < len(self.text) and self.text[self.pos] != "\n":
+                    self._advance()
+            elif c in " \t\r\n":
+                self._advance()
+            else:
+                return
+
+    def _lex_string(self):
+        line, col = self.line, self.col
+        self._advance()  # opening quote
+        out = []
+        while True:
+            c = self._peek()
+            if c == "":
+                self.error("unterminated string", line, col)
+            if c == "\n":
+                self.error("newline inside string", line, col)
+            if c == '"':
+                self._advance()
+                return _Token("string", "".join(out), line, col)
+            if c == "\\":
+                esc = self._peek(1)
+                if esc not in ('"', "\\"):
+                    self.error(f"unknown escape \\{esc or '<eof>'}")
+                out.append(esc)
+                self._advance(2)
+            else:
+                out.append(c)
+                self._advance()
+
+    def _lex_number(self):
+        line, col = self.line, self.col
+        start = self.pos
+        if self._peek() == "-":
+            self._advance()
+        if self._peek() not in _DIGITS:
+            self.error("expected digits after '-'", line, col)
+        while self._peek() in _DIGITS:
+            self._advance()
+        is_decimal = False
+        if self._peek() == "." and self._peek(1) in _DIGITS:
+            is_decimal = True
+            self._advance()
+            while self._peek() in _DIGITS:
+                self._advance()
+        raw = self.text[start:self.pos]
+        if is_decimal:
+            return _Token("number", Decimal(raw), line, col)
+        n = int(raw)
+        if not INT64_MIN <= n <= INT64_MAX:
+            self.error(f"integer {raw} outside the 64-bit range", line, col)
+        return _Token("number", n, line, col)
+
+    def next(self) -> _Token:
+        self._skip_space_and_comments()
+        line, col = self.line, self.col
+        c = self._peek()
+        if c == "":
+            return _Token("eof", "", line, col)
+        if c == '"':
+            return self._lex_string()
+        if c == "-" and self._peek(1) == ">":
+            self._advance(2)
+            return _Token("arrow", "->", line, col)
+        if c == "-" or c in _DIGITS:
+            return self._lex_number()
+        if c in _PUNCT:
+            self._advance()
+            return _Token("punct", c, line, col)
+        if c.isascii() and (c.isalpha() or c == "_"):
+            start = self.pos
+            while True:
+                ch = self._peek()
+                if ch.isascii() and (ch.isalnum() or ch == "_"):
+                    self._advance()
+                else:
+                    break
+            return _Token("ident", self.text[start:self.pos], line, col)
+        self.error(f"unexpected character {c!r}")

@@ -521,3 +521,43 @@ print(os.environ.get("OPENBLAS_NUM_THREADS"))
         run_env = env if preset is None else {**env, "OPENBLAS_NUM_THREADS": preset}
         out = _run_script(script, run_env)
         assert out.split()[-1] == expect, (preset, out)
+
+
+def test_closed_stdout_is_an_io_error(f1_files):
+    # A report that cannot be written is a failure like any other: one JSON
+    # error object on stderr and exit 1, with no traceback.
+    src = str(Path(ruleselect.__file__).resolve().parents[1])
+    for argv in (["eval"], ["pareto", "--pretty"]):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "ruleselect.cli", *argv, *f1_files],
+                                  stdout=write_end, stderr=subprocess.PIPE, text=True,
+                                  env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1, proc.stderr
+        (line,) = proc.stderr.splitlines()
+        assert json.loads(line)["error"]["code"] == "io_error"
+
+
+def test_enumeration_past_the_pure_python_limit_needs_numpy(capsys, f1_files, tmp_path,
+                                                            monkeypatch):
+    # Without numpy an enumeration of more than 16 rules is refused as a
+    # usage error that names numpy; smaller ones and the other commands run.
+    gen16, gen17 = _generated(tmp_path, 16), _generated(tmp_path, 17)
+    capsys.readouterr()
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    monkeypatch.delitem(sys.modules, "ruleselect._kernels", raising=False)
+    monkeypatch.delattr(ruleselect, "_kernels", raising=False)
+    for argv in (["pareto"], ["select", "--method", "exact", "--objective", "fpfn"]):
+        code, out, err = run(capsys, argv + gen17)
+        assert (code, out, err["error"]["code"]) == (1, None, "usage")
+        assert "needs numpy" in err["error"]["message"]
+        assert "up to 16 free rules run without it" in err["error"]["message"]
+    for argv in (["eval"] + gen17, ["check-feasible"] + gen17,
+                 ["select", "--method", "greedy", "--objective", "fpfn"] + gen17,
+                 ["select", "--method", "exact", "--objective", "fpfn"] + gen16,
+                 ["pareto"] + f1_files, ["bilevel", "--objective", "fp"] + f1_files):
+        code, _, err = run(capsys, argv)
+        assert code == 0, (argv, err)

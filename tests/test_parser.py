@@ -1,3 +1,4 @@
+import re
 from decimal import Decimal
 
 import pytest
@@ -16,6 +17,7 @@ from ruleselect.generators import GenSeed, gen_random_ruleselect
 from ruleselect.parser import _lex_fact_line
 
 from conftest import F1_PREMISE, F1_RULES
+from oracles import _Lexer
 
 
 def test_parse_single_rule_infers_schemas():
@@ -38,6 +40,35 @@ def test_parse_error_positions_unclosed_paren():
         parse_rules('rule bad: S(x) -> B(x,')
     assert err.value.line == 1
     assert err.value.column >= 20
+
+
+@pytest.mark.parametrize("text, message, line, column, snippet", [
+    ('rule r: P("ab', "unterminated string", 1, 11, 'rule r: P("ab'),
+    ('rule r: P("a\nb") -> Q(x).', "newline inside string", 1, 11, 'rule r: P("a'),
+    ('rule r: P("a\\q") -> Q(x).', "unknown escape \\q", 1, 13, 'rule r: P("a\\q") -> Q(x).'),
+    ('rule r: P("a\\', "unknown escape \\<eof>", 1, 13, 'rule r: P("a\\'),
+    ("rule r: P(-x) -> Q(x).", "expected digits after '-'", 1, 11, "rule r: P(-x) -> Q(x)."),
+    ("rule r: P(x)\n  -> Q(x, -9223372036854775809).",
+     "integer -9223372036854775809 outside the 64-bit range", 2, 11,
+     "  -> Q(x, -9223372036854775809)."),
+    ("rule r: P(x) -> Q(x) ?", "unexpected character '?'", 1, 22, "rule r: P(x) -> Q(x) ?"),
+    # Lines are numbered as `str.splitlines` splits them.
+    ("# a\x85b\nrule r: P(x) -> Q(x) ?", "unexpected character '?'", 3, 22,
+     "rule r: P(x) -> Q(x) ?"),
+    ("# note\u2028more\nrule r: P(x) -> Q(x) ?", "unexpected character '?'", 3, 22,
+     "rule r: P(x) -> Q(x) ?"),
+    ("rule a: P(x) -> Q(x).\rrule b: P(x) -> Q(x) ?", "unexpected character '?'", 2, 22,
+     "rule b: P(x) -> Q(x) ?"),
+    ("rule a: P(x) -> Q(x).\r\nrule b: P(x) -> Q(x) ?", "unexpected character '?'", 2, 22,
+     "rule b: P(x) -> Q(x) ?"),
+    # A syntax error comes before a bad character after it.
+    ("rule r: P(x) Q(x).\n?", "expected 'arrow', got 'Q'", 1, 14, "rule r: P(x) Q(x)."),
+])
+def test_rule_errors_are_positioned(text, message, line, column, snippet):
+    with pytest.raises(ParseError) as err:
+        parse_rules(text)
+    assert (err.value.message, err.value.line, err.value.column, err.value.snippet) == (
+        message, line, column, snippet)
 
 
 def test_parse_rejects_unsafe_and_overlapping_schemas():
@@ -304,3 +335,73 @@ def test_parse_facts_agrees_with_line_by_line(lines, trailing):
     if lines and not trailing:
         text = text[:-len(lines[-1][1])]
     assert _file_outcome(text) == _line_by_line(text)
+
+
+def _reference_tokens(text):
+    """The old lexer's tokens as (kind, value, line, column) and its error."""
+    lexer, out = _Lexer(text, "<rules>"), []
+    try:
+        while not out or out[-1][0] != "eof":
+            tok = lexer.next()
+            out.append((tok.kind, repr(tok.value), tok.line, tok.col))
+    except ParseError as e:
+        return out, e
+    return out, None
+
+
+def _new_tokens(text):
+    """`parser._tokens` as (kind, value, offset) and its error."""
+    tokens, out = parser._tokens(text, "<rules>"), []
+    try:
+        while not out or out[-1][0] != "eof":
+            kind, value, pos = next(tokens)
+            out.append((kind, repr(value), pos))
+    except ParseError as e:
+        return out, e
+    return out, None
+
+
+def _offset(lines, line, column):
+    """The offset of a line and column within `lines`, a text split with its
+    line ends kept."""
+    return sum(map(len, lines[:line - 1])) + column - 1
+
+
+# Every line break `splitlines` knows but "\n" and "\r\n", which the old
+# lexer counted alike.
+_ODD_BREAK = re.compile("\r(?!\n)|[\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
+_RULE_FRAGMENTS = st.sampled_from([
+    "rule", "r1", " ", " ", "\t", ":", "P", "Q_2", "(", ")", ",", ".", "->", "-", ">", "x", "_",
+    "neq", "geq", "jaccard_geq", "12", "-7", "1.5", "1.", "0.50", str(2**63 - 1), str(2**63),
+    str(-2**63 - 1), '"', '"a"', '"a\\"b\\\\"', '"a\\q"', "\\", '"open', "#", "# note", "\n",
+    "\n", "\r\n", "\r", "\x0b", "\x85", "\u2028", "\u2029", "?", "é", "1a", "A-", "--",
+])
+
+
+@settings(max_examples=500)
+@given(st.one_of(st.lists(_RULE_FRAGMENTS, max_size=30).map("".join), st.text(max_size=60)))
+@example('rule r: P(x) -> Q(x) "a\\qb" ?')
+@example("# a\x85b\nrule r: P(x) -> Q(x) ?")
+@example('P("ab\r\ncd")')
+def test_tokens_agree_with_the_reference_lexer(text):
+    # The token pattern reads what the character-stepping lexer read, token
+    # by token, and fails at the same character with the same message.
+    old, old_error = _reference_tokens(text)
+    new, new_error = _new_tokens(text)
+    assert [t[:2] for t in new] == [t[:2] for t in old]
+    assert (new_error is None) == (old_error is None)
+    # Each token and error at the same offset: the old lexer counted lines
+    # by "\n", the new one as `splitlines` does.
+    old_lines = text.split("\n")
+    old_lines = [line + "\n" for line in old_lines[:-1]] + old_lines[-1:]
+    new_lines = text.splitlines(keepends=True)
+    assert [t[2] for t in new] == [_offset(old_lines, *t[2:]) for t in old]
+    if old_error is None:
+        return
+    assert new_error.message == old_error.message
+    assert (_offset(new_lines, new_error.line, new_error.column)
+            == _offset(old_lines, old_error.line, old_error.column))
+    assert new_error.snippet == (text.splitlines()[new_error.line - 1:] or [""])[0]
+    if not _ODD_BREAK.search(text):
+        assert ((new_error.line, new_error.column, new_error.snippet)
+                == (old_error.line, old_error.column, old_error.snippet))
