@@ -9,8 +9,9 @@ Packing goes through a little-endian byte buffer of `n_words` 64-bit words,
 so it takes time and memory linear in the universe size.
 
 `subset_profile` enumerates the subsets of a few rows on these ints, under
-the same contract and limits as the numpy kernel in `_kernels`; `exact`
-chooses between the two.
+the same contract as the numpy kernel in `_kernels`; `exact` chooses between
+the two.  Both refuse work past the limits below through one guard,
+`check_enumeration`.
 """
 from __future__ import annotations
 
@@ -30,13 +31,19 @@ MAX_WORD_VISITS = 2**32
 MAX_UNION_WORDS = 2**25
 
 
-def check_union_table(subsets: int, n_words: int) -> None:
-    """Refuse a union table of `subsets` rows over `n_words` words past
-    `MAX_UNION_WORDS`, before anything is allocated."""
-    if subsets * n_words > MAX_UNION_WORDS:
+def check_enumeration(n: int, n_words: int, table_rows: int) -> None:
+    """Refuse, before anything is allocated, an enumeration of the 2^n
+    subsets of `n` rows over `n_words` words past `MAX_WORD_VISITS`, or one
+    that holds the unions of 2^`table_rows` subsets past `MAX_UNION_WORDS`."""
+    visits, held = (1 << n) * n_words, (1 << table_rows) * n_words
+    if visits > MAX_WORD_VISITS:
         raise CapacityError(
-            f"holding {subsets:,} subset unions over {n_words} fact words takes "
-            f"{subsets * n_words:,} words, above the limit of {MAX_UNION_WORDS:,}")
+            f"enumerating 2^{n} subsets over {n_words} fact words is {visits:,} "
+            f"word visits, above the limit of {MAX_WORD_VISITS:,}")
+    if held > MAX_UNION_WORDS:
+        raise CapacityError(
+            f"holding {1 << table_rows:,} subset unions over {n_words} fact words takes "
+            f"{held:,} words, above the limit of {MAX_UNION_WORDS:,}")
 
 
 class PackedUniverse:
@@ -67,12 +74,7 @@ def subset_profile(rows: list, sizes: list, j: int, n_words: int, fp_only: bool)
     Mask bit i selects `rows[i]`.  In FP mode only subsets whose union holds
     all of `j` count.
     """
-    n = len(rows)
-    if (1 << n) * n_words > MAX_WORD_VISITS:
-        raise CapacityError(
-            f"enumerating 2^{n} subsets over {n_words} fact words is {(1 << n) * n_words:,} "
-            f"word visits, above the limit of {MAX_WORD_VISITS:,}")
-    check_union_table(1 << n, n_words)
+    check_enumeration(len(rows), n_words, len(rows))
     unions, totals = [0], [0]
     for row, size in zip(rows, sizes):
         unions += [u | row for u in unions]

@@ -28,8 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._bitset import MAX_WORD_VISITS, check_union_table
-from .model import CapacityError
+from ._bitset import MAX_WORD_VISITS, check_enumeration
 
 
 def as_words(masks, n_words: int) -> np.ndarray:
@@ -55,12 +54,8 @@ def _size_profile(rule_masks, sizes, j_mask, fp_only):
     the remaining rules pick the block's base union, in ascending mask order.
     """
     n, w = rule_masks.shape
-    if (1 << n) * w > MAX_WORD_VISITS:
-        raise CapacityError(
-            f"enumerating 2^{n} subsets over {w} fact words is {(1 << n) * w:,} word "
-            f"visits, above the limit of {MAX_WORD_VISITS:,}")
     split = min(n, 16)
-    check_union_table(1 << split, w)
+    check_enumeration(n, w, split)
     sizes = np.asarray(sizes, dtype=np.int64)
     inner_sizes = np.zeros(1, dtype=np.int64)
     for i in range(split):

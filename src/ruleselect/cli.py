@@ -99,33 +99,28 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _parse_limits(spec: Optional[str]) -> Optional[EvalLimits]:
-    if spec is None:
-        return None
+def _int_pair(option: str, spec: str, shape: str) -> tuple:
+    """The two integers of `spec`, written "x,y"; a usage error otherwise."""
     try:
-        a, r = (int(part) for part in spec.split(","))
+        x, y = (int(part) for part in spec.split(","))
     except ValueError:
-        raise UsageError(f"--limits expects 'a,r', got {spec!r}") from None
-    return EvalLimits(max_premise_atoms=a, max_conclusion_arity=r)
+        raise UsageError(f"{option} expects {shape!r}, got {spec!r}") from None
+    return x, y
 
 
-def _parse_point(spec: str):
+def _read(path: str) -> str:
     try:
-        e, s = (int(part) for part in spec.split(","))
-    except ValueError:
-        raise UsageError(f"--point expects 'e,s', got {spec!r}") from None
-    return e, s
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise OSError(f"{path}: not UTF-8 text: {e.reason} at byte {e.start}") from None
 
 
 def _load(args):
-    rules = parse_rules(Path(args.rules).read_text(encoding="utf-8"), file=args.rules)
-    limits = _parse_limits(args.limits)
-    if limits is not None:
-        validate(rules, limits)
-    premise = parse_facts(Path(args.premise).read_text(encoding="utf-8"),
-                          schema=rules.premise_schema, file=args.premise)
-    truth = parse_facts(Path(args.truth).read_text(encoding="utf-8"),
-                        schema=rules.conclusion_schema, file=args.truth)
+    rules = parse_rules(_read(args.rules), file=args.rules)
+    if args.limits is not None:
+        validate(rules, EvalLimits(*_int_pair("--limits", args.limits, "a,r")))
+    premise = parse_facts(_read(args.premise), schema=rules.premise_schema, file=args.premise)
+    truth = parse_facts(_read(args.truth), schema=rules.conclusion_schema, file=args.truth)
     return rules, DataExample(premise=premise, truth=truth)
 
 
@@ -213,7 +208,7 @@ def _cmd_bilevel(args) -> dict:
 
 def _cmd_member(args) -> dict:
     rules, example = _load(args)
-    e, s = _parse_point(args.point)
+    e, s = _int_pair("--point", args.point, "e,s")
     member = _exact().pareto_membership(rules, example, e, s, _exact_config(args))
     return {"command": "member", "objective": args.objective,
             "member": member, "point": [e, s]}

@@ -74,36 +74,12 @@ def _check_namespace(sc: SetCoverInstance, clones: bool):
                 f"universe id {u!r} collides with the reserved marker namespace")
 
 
-def rules_from_set_cover(sc: SetCoverInstance):
-    """One unary rule per set; each set gets a private marker element.
-
-    Selecting rules that cover the universe costs exactly one false positive
-    per chosen rule (its marker), so optimum error equals optimum cover size.
-    """
-    _check_namespace(sc, clones=False)
+def _marker_encoding(sc: SetCoverInstance, clones: bool):
+    """One unary rule per set, a private marker element per set and, with
+    `clones`, p clones b<j>^1..b<j>^p of every universe element u_j."""
+    _check_namespace(sc, clones)
     p = len(sc.sets)
-    rules = [Rule(f"r{i}", (RelationalAtom(f"Set{i}", (var("x"),)),),
-                  RelationalAtom("B", (var("x"),)))
-             for i in range(1, p + 1)]
-    premise_facts = []
-    for i, s in enumerate(sc.sets, start=1):
-        for u in sorted(s):
-            premise_facts.append(fact(f"Set{i}", u))
-        premise_facts.append(fact(f"Set{i}", f"a{i}"))
-    premise = Instance({f"Set{i}": 1 for i in range(1, p + 1)}, premise_facts)
-    truth = Instance({"B": 1}, [fact("B", u) for u in sc.universe])
-    return RuleSet.infer(rules) if rules else RuleSet((), {}, {"B": 1}), \
-        DataExample(premise=premise, truth=truth)
-
-
-def rules_from_set_cover_clones(sc: SetCoverInstance):
-    """Marker construction plus p clones of every universe element.
-
-    An uncovered element then costs itself plus its p clones, which pins the
-    (k, k) points of the error/size Pareto front to the optimum cover size.
-    """
-    _check_namespace(sc, clones=True)
-    p = len(sc.sets)
+    copies = range(1, p + 1) if clones else ()
     pos = {u: j for j, u in enumerate(sc.universe, start=1)}
     rules = [Rule(f"r{i}", (RelationalAtom(f"Set{i}", (var("x"),)),),
                   RelationalAtom("B", (var("x"),)))
@@ -112,17 +88,32 @@ def rules_from_set_cover_clones(sc: SetCoverInstance):
     for i, s in enumerate(sc.sets, start=1):
         for u in sorted(s):
             premise_facts.append(fact(f"Set{i}", u))
-            for c in range(1, p + 1):
-                premise_facts.append(fact(f"Set{i}", f"b{pos[u]}^{c}"))
+            premise_facts += [fact(f"Set{i}", f"b{pos[u]}^{c}") for c in copies]
         premise_facts.append(fact(f"Set{i}", f"a{i}"))
     premise = Instance({f"Set{i}": 1 for i in range(1, p + 1)}, premise_facts)
     truth_facts = [fact("B", u) for u in sc.universe]
-    for u in sc.universe:
-        for c in range(1, p + 1):
-            truth_facts.append(fact("B", f"b{pos[u]}^{c}"))
+    truth_facts += [fact("B", f"b{pos[u]}^{c}") for u in sc.universe for c in copies]
     truth = Instance({"B": 1}, truth_facts)
     return RuleSet.infer(rules) if rules else RuleSet((), {}, {"B": 1}), \
         DataExample(premise=premise, truth=truth)
+
+
+def rules_from_set_cover(sc: SetCoverInstance):
+    """One unary rule per set; each set gets a private marker element.
+
+    Selecting rules that cover the universe costs exactly one false positive
+    per chosen rule (its marker), so optimum error equals optimum cover size.
+    """
+    return _marker_encoding(sc, clones=False)
+
+
+def rules_from_set_cover_clones(sc: SetCoverInstance):
+    """Marker construction plus p clones of every universe element.
+
+    An uncovered element then costs itself plus its p clones, which pins the
+    (k, k) points of the error/size Pareto front to the optimum cover size.
+    """
+    return _marker_encoding(sc, clones=True)
 
 
 def rules_from_set_cover_indexed(sc: SetCoverInstance):

@@ -347,10 +347,7 @@ class BuiltinAtom(Record):
             raise ValidationError(f"builtin {name}: bad threshold usage")
         self._init(name, terms, threshold)
 
-    def variables(self) -> Iterator[str]:
-        for t in self.terms:
-            if t.is_var:
-                yield t.var
+    variables = RelationalAtom.variables
 
 
 Atom = Union[RelationalAtom, BuiltinAtom]
@@ -383,10 +380,7 @@ class Rule(Record):
         """Conclusion/builtin variables not bound by any relational premise atom."""
         bound = {v for a in self.relational_atoms() for v in a.variables()}
         unsafe = []
-        for v in self.head.variables():
-            if v not in bound and v not in unsafe:
-                unsafe.append(v)
-        for a in self.builtin_atoms():
+        for a in (self.head, *self.builtin_atoms()):
             for v in a.variables():
                 if v not in bound and v not in unsafe:
                     unsafe.append(v)
@@ -421,18 +415,12 @@ class RuleSet:
         prem: dict[str, int] = {}
         conc: dict[str, int] = {}
         for r in rules:
-            for a in r.relational_atoms():
-                known = prem.setdefault(a.relation, len(a.terms))
-                if known != len(a.terms):
-                    raise ValidationError(
-                        f"relation {a.relation} used with arities {known} and {len(a.terms)}"
-                    )
-            known = conc.setdefault(r.head.relation, len(r.head.terms))
-            if known != len(r.head.terms):
-                raise ValidationError(
-                    f"relation {r.head.relation} used with arities "
-                    f"{known} and {len(r.head.terms)}"
-                )
+            for schema, atoms in ((prem, r.relational_atoms()), (conc, (r.head,))):
+                for a in atoms:
+                    known = schema.setdefault(a.relation, len(a.terms))
+                    if known != len(a.terms):
+                        raise ValidationError(
+                            f"relation {a.relation} used with arities {known} and {len(a.terms)}")
         return cls(rules, prem, conc)
 
     def names(self) -> tuple:
@@ -551,20 +539,15 @@ def validate(rules: RuleSet, limits: Optional[EvalLimits] = None) -> None:
         raise ValidationError(f"schemas overlap on {sorted(overlap)}")
     for r in rules.rules:
         where = f"rule {r.name}: "
-        for a in r.relational_atoms():
-            arity = rules.premise_schema.get(a.relation)
-            if arity is None:
-                raise ValidationError(where + f"undeclared premise relation {a.relation}")
-            elif arity != len(a.terms):
-                raise ValidationError(
-                    where + f"{a.relation} used with arity {len(a.terms)}, declared {arity}")
-        arity = rules.conclusion_schema.get(r.head.relation)
-        if arity is None:
-            raise ValidationError(where + f"undeclared conclusion relation {r.head.relation}")
-        elif arity != len(r.head.terms):
-            raise ValidationError(
-                where + f"{r.head.relation} used with arity {len(r.head.terms)}, "
-                f"declared {arity}")
+        for side, schema, atoms in (("premise", rules.premise_schema, r.relational_atoms()),
+                                    ("conclusion", rules.conclusion_schema, (r.head,))):
+            for a in atoms:
+                arity = schema.get(a.relation)
+                if arity is None:
+                    raise ValidationError(where + f"undeclared {side} relation {a.relation}")
+                elif arity != len(a.terms):
+                    raise ValidationError(
+                        where + f"{a.relation} used with arity {len(a.terms)}, declared {arity}")
         unsafe = r.unsafe_variables()
         if unsafe:
             shown = ", ".join(display_var(v) for v in unsafe)

@@ -27,6 +27,7 @@ from .model import (
     Rule,
     RuleSet,
     Term,
+    display_var,
     literal,
     validate,
 )
@@ -58,10 +59,12 @@ _STRING_HEAD_RE = re.compile(_STRING_HEAD)
 _ESCAPE_RE = re.compile(r"\\(.)")
 
 # Blanks and comments, then one token.  `other` matches any other character,
-# which is an error, or the end of the text.  Only "\n" ends a comment; the
-# other line breaks `str.splitlines` knows number the lines of error messages.
+# which is an error, or the end of the text.  Blanks are space, tab and every
+# line break `str.splitlines` knows, as between the lines of a fact file; they
+# number the lines of error messages, but only "\n" ends a comment.
 _TOKEN_RE = re.compile(
-    rf"(?:[ \t\r\n]+|#[^\n]*)*(?:(?P<arrow>->)|(?P<number>{_NUMBER})|(?P<string>{_STRING})"
+    r"(?:[ \t\r\n\x0b\x0c\x1c-\x1e\x85\u2028\u2029]+|#[^\n]*)*"
+    rf"(?:(?P<arrow>->)|(?P<number>{_NUMBER})|(?P<string>{_STRING})"
     r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<punct>[(),.:])|(?P<other>.|\Z))", re.S)
 
 
@@ -166,14 +169,16 @@ class _RuleParser:
             self._advance()
             atoms.append(self._atom())
         self.expect("arrow")
-        head = self._head_atom()
+        head = self._atom(head=True)
         self.expect("punct", ".")
         return Rule(name, tuple(atoms), head)
 
-    def _atom(self):
+    def _atom(self, head: bool = False):
         pos = self.pos
         name = self.expect("ident")
         if name in BUILTIN_NAMES:
+            if head:
+                self.error("builtins cannot be rule conclusions", pos)
             return self._builtin(name)
         if not name[0].isupper():
             self.error(f"relation names start with an uppercase letter, got {name!r}", pos)
@@ -181,37 +186,26 @@ class _RuleParser:
 
     def _builtin(self, name: str):
         self.expect("punct", "(")
-        if name == "jaccard_geq":
-            t1 = self._term()
-            self.expect("punct", ",")
-            t2 = self._term()
-            self.expect("punct", ",")
-            if self.kind != "number":
-                self.error("jaccard_geq threshold must be a numeric literal")
-            threshold = Decimal(self.value)
-            self._advance()
-            self.expect("punct", ")")
-            return BuiltinAtom(name, (t1, t2), threshold=threshold)
         t1 = self._term()
         self.expect("punct", ",")
         if name in ("geq", "leq"):
-            if self.kind != "number":
-                self.error(f"{name} bound must be a numeric literal")
-            t2 = Term(const=self.value)
-            self._advance()
+            t2 = Term(const=self._number(f"{name} bound"))
         else:
             t2 = self._term()
+        threshold = None
+        if name == "jaccard_geq":
+            self.expect("punct", ",")
+            threshold = Decimal(self._number("jaccard_geq threshold"))
         self.expect("punct", ")")
-        return BuiltinAtom(name, (t1, t2))
+        return BuiltinAtom(name, (t1, t2), threshold)
 
-    def _head_atom(self) -> RelationalAtom:
-        pos = self.pos
-        name = self.expect("ident")
-        if name in BUILTIN_NAMES:
-            self.error("builtins cannot be rule conclusions", pos)
-        if not name[0].isupper():
-            self.error(f"relation names start with an uppercase letter, got {name!r}", pos)
-        return RelationalAtom(name, tuple(self._term_list()))
+    def _number(self, what: str):
+        """The value of a numeric literal, the next token, which `what` names."""
+        if self.kind != "number":
+            self.error(f"{what} must be a numeric literal")
+        value = self.value
+        self._advance()
+        return value
 
     def _term_list(self):
         self.expect("punct", "(")
@@ -360,9 +354,7 @@ def parse_facts(text: str, schema: Optional[Mapping[str, int]] = None,
 
 
 def _format_term(t: Term) -> str:
-    if t.is_var:
-        return "_" if t.var.startswith("_#") else t.var
-    return literal(t.const)
+    return display_var(t.var) if t.is_var else literal(t.const)
 
 
 def _format_atom(a) -> str:

@@ -307,7 +307,7 @@ class _Lexer:
             if c == "#":
                 while self.pos < len(self.text) and self.text[self.pos] != "\n":
                     self._advance()
-            elif c in " \t\r\n":
+            elif c in " \t\r\n\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029":
                 self._advance()
             else:
                 return

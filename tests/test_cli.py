@@ -118,6 +118,18 @@ def test_exit_code_usage(capsys, f1_files):
             assert code == 1 and out is None and err["error"]["code"] == "usage", command
 
 
+@pytest.mark.parametrize("command, message", [
+    (["eval", "--limits", "1"], "--limits expects 'a,r', got '1'"),
+    (["eval", "--limits", "1,2,3"], "--limits expects 'a,r', got '1,2,3'"),
+    (["member", "--point", "x"], "--point expects 'e,s', got 'x'"),
+    (["member", "--point", "1,"], "--point expects 'e,s', got '1,'"),
+])
+def test_bad_integer_pairs_are_usage_errors(capsys, f1_files, command, message):
+    code, out, err = run(capsys, command + f1_files)
+    assert code == 1 and out is None
+    assert err == {"error": {"code": "usage", "message": message}}
+
+
 def test_max_rules_must_be_positive(capsys, f1_files):
     for value in ("0", "-1"):
         for command in (["select", "--objective", "fpfn", "--method", "exact"], ["pareto"]):
@@ -130,6 +142,15 @@ def test_exit_code_parse_error(capsys, f1_files, tmp_path):
     (tmp_path / "rules.rules").write_text("rule bad: S(x) -> B(x,")
     code, _, err = run(capsys, ["eval"] + f1_files)
     assert code == 1 and err["error"]["code"] == "parse_error"
+
+
+@pytest.mark.parametrize("name", ["rules.rules", "premise.facts", "truth.facts"])
+def test_a_file_that_is_not_utf8_is_an_io_error(capsys, f1_files, tmp_path, name):
+    path = tmp_path / name
+    path.write_bytes(path.read_bytes() + b'# caf\xe9\n')
+    code, out, err = run(capsys, ["eval"] + f1_files)
+    assert code == 1 and out is None and err["error"]["code"] == "io_error"
+    assert err["error"]["message"].startswith(f"{path}: ")
 
 
 def test_exit_code_infeasible(capsys, f1_files, tmp_path):

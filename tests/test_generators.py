@@ -4,10 +4,12 @@ from hypothesis import given, settings, strategies as st
 from ruleselect import (
     EvalLimits,
     ExactConfig,
+    Instance,
     SetCoverInstance,
     ValidationError,
     compute_errors,
     evaluated,
+    fact,
     pareto_front,
     rule_size,
     solve_exact,
@@ -68,6 +70,20 @@ def test_clone_construction_smallest():
 def test_clone_construction_truth_size():
     _, example = rules_from_set_cover_clones(F1_SC)
     assert len(example.truth.facts) == 3 + 3 * 3
+
+
+def test_clone_construction_is_the_marker_encoding_plus_p_clones():
+    p = len(F1_SC.sets)
+    marker_rules, marker = rules_from_set_cover(F1_SC)
+    rules, example = rules_from_set_cover_clones(F1_SC)
+    assert rules == marker_rules
+    clones = {u: {f"b{j}^{c}" for c in range(1, p + 1)}
+              for j, u in enumerate(F1_SC.universe, start=1)}
+    assert example.premise == Instance(marker.premise.schema, marker.premise.facts | {
+        fact(f"Set{i}", b) for i, s in enumerate(F1_SC.sets, start=1)
+        for u in s for b in clones[u]})
+    assert example.truth == Instance(marker.truth.schema, marker.truth.facts | {
+        fact("B", b) for u in F1_SC.universe for b in clones[u]})
 
 
 def test_clone_construction_pins_diagonal_front():

@@ -1,5 +1,6 @@
 import copy
 import pickle
+import re
 from decimal import Decimal
 
 import pytest
@@ -281,6 +282,31 @@ def test_validate_order_insensitive():
         with pytest.raises(ValidationError, match=r"^rule a: unsafe: y unbound$"):
             validate(RuleSet.infer(order))
     validate(RuleSet.infer([rule_b]))
+
+
+@pytest.mark.parametrize("premise_schema, conclusion_schema, message", [
+    ({}, {}, "rule r: undeclared premise relation S"),
+    ({"S": 1}, {}, "rule r: undeclared conclusion relation B"),
+    ({"S": 2}, {"B": 1}, "rule r: S used with arity 1, declared 2"),
+    ({"S": 1}, {"B": 3}, "rule r: B used with arity 2, declared 3"),
+])
+def test_validate_checks_atoms_against_the_schemas(premise_schema, conclusion_schema, message):
+    rule = Rule("r", (RelationalAtom("S", (var("x"),)), BuiltinAtom("neq", (var("x"), const(1)))),
+                RelationalAtom("B", (var("x"), var("x"))))
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        validate(RuleSet([rule], premise_schema, conclusion_schema))
+
+
+def test_infer_rejects_a_relation_used_with_two_arities():
+    x = var("x")
+    a = Rule("a", (RelationalAtom("S", (x,)),), RelationalAtom("B", (x,)))
+    b = Rule("b", (RelationalAtom("T", (x,)), RelationalAtom("S", (x, x))),
+             RelationalAtom("C", (x,)))
+    c = Rule("c", (RelationalAtom("T", (x,)),), RelationalAtom("B", (x, x)))
+    with pytest.raises(ValidationError, match=r"^relation S used with arities 1 and 2$"):
+        RuleSet.infer([a, b])
+    with pytest.raises(ValidationError, match=r"^relation B used with arities 1 and 2$"):
+        RuleSet.infer([a, c])
 
 
 def test_ruleset_rejects_duplicate_names_and_overlap():

@@ -63,12 +63,34 @@ def test_parse_error_positions_unclosed_paren():
      "rule b: P(x) -> Q(x) ?"),
     # A syntax error comes before a bad character after it.
     ("rule r: P(x) Q(x).\n?", "expected 'arrow', got 'Q'", 1, 14, "rule r: P(x) Q(x)."),
+    # Atom errors: the head and premise atoms go through one reader.
+    ("rule r: S(x) -> neq(x, x).", "builtins cannot be rule conclusions", 1, 17,
+     "rule r: S(x) -> neq(x, x)."),
+    ("rule r: S(x) -> b(x).", "relation names start with an uppercase letter, got 'b'", 1, 17,
+     "rule r: S(x) -> b(x)."),
+    ("rule r: S(x),\n  s(x) -> B(x).",
+     "relation names start with an uppercase letter, got 's'", 2, 3, "  s(x) -> B(x)."),
+    ("rule r: S(x), geq(x, y) -> B(x).", "geq bound must be a numeric literal", 1, 22,
+     "rule r: S(x), geq(x, y) -> B(x)."),
+    ('rule r: S(x), leq(x, "1") -> B(x).', "leq bound must be a numeric literal", 1, 22,
+     'rule r: S(x), leq(x, "1") -> B(x).'),
+    ('rule r: S(x), jaccard_geq(x, x, "0.5") -> B(x).',
+     "jaccard_geq threshold must be a numeric literal", 1, 33,
+     'rule r: S(x), jaccard_geq(x, x, "0.5") -> B(x).'),
 ])
 def test_rule_errors_are_positioned(text, message, line, column, snippet):
     with pytest.raises(ParseError) as err:
         parse_rules(text)
     assert (err.value.message, err.value.line, err.value.column, err.value.snippet) == (
         message, line, column, snippet)
+
+
+@pytest.mark.parametrize("brk", ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                                 "\u2028", "\u2029"])
+def test_rules_may_be_separated_by_any_line_break(brk):
+    # The rule language takes the line breaks a fact file takes.
+    rules = ["rule a: S(x) -> B(x).", "rule b: T(x, y), neq(x, y) -> B(x)."]
+    assert parse_rules(brk.join(rules) + brk) == parse_rules("\n".join(rules) + "\n")
 
 
 def test_parse_rejects_unsafe_and_overlapping_schemas():
