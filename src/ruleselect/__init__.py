@@ -15,9 +15,9 @@ __version__ = "0.1.0"
 # numpy only to enumerate more than 16 rules.
 _EXPORTS = {
     "covering": (
-        "CoverSelection", "PnpscInstance", "RbscInstance", "build_pnpsc",
-        "build_rbsc", "greedy_fp_bound", "greedy_fpfn_bound", "pnpsc_to_rbsc",
-        "solve_pnpsc_approx", "solve_rbsc_greedy",
+        "CoverSelection", "SetSystem", "build_pnpsc", "build_rbsc",
+        "greedy_bound", "pnpsc_to_rbsc", "solve_pnpsc_approx",
+        "solve_rbsc_greedy",
     ),
     "evaluation": (
         "EvalCache", "check_fp_feasible", "compute_errors", "eval_rule",

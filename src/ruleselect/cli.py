@@ -179,11 +179,12 @@ def _cmd_select(args) -> dict:
     from . import covering
 
     if args.objective == "fp":
-        cover = covering.solve_rbsc_greedy(covering.build_rbsc(rules, example))
-        bound = covering.greedy_fp_bound(len(rules), len(example.truth.facts))
-    else:
-        cover = covering.solve_pnpsc_approx(covering.build_pnpsc(rules, example))
-        bound = covering.greedy_fpfn_bound(len(rules), len(example.truth.facts))
+        system = covering.build_rbsc(rules, example)
+        cover, skips = covering.solve_rbsc_greedy(system), 0
+    else:  # the bound is on the explicit reduction: one skip set per truth fact
+        system = covering.build_pnpsc(rules, example)
+        cover, skips = covering.solve_pnpsc_approx(system), len(system.blue)
+    bound = covering.greedy_bound(len(system.sets) + skips, len(system.blue))
     selection = frozenset(cover.chosen)
     body, total = _selection_report(rules, example, selection)
     err = body["fp_count"] if args.objective == "fp" else total

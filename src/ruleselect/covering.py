@@ -1,14 +1,15 @@
 """Set-system reductions and the threshold-sweep greedy approximation solvers.
 
-A rule-selection problem maps to a red-blue instance (FP objective: cover the
-truth facts, touch few spurious ones) or to a positive-negative instance
-(FP+FN objective: uncovered positives and covered negatives both cost).  The
+A rule-selection problem maps to one `SetSystem`: truth facts blue, spurious
+derivable facts red, one set per rule.  As red-blue set cover (`build_rbsc`)
+it is the FP objective, as positive-negative partial set cover
+(`build_pnpsc`) the FP+FN one.  The greedy here and the exact solvers read
+these systems as `pack` packs them into the ints of a
+`_bitset.PackedUniverse`, so every step is unions and popcounts.  The
 positive-negative problem is the red-blue one augmented with a "skip" set
-{p, marker} per positive p (`pnpsc_to_rbsc`), kept implicit: the greedy
-scans the rule sets only and takes skips in label order between scans
-(`solve_pnpsc_approx` says why that is exact).  The greedy packs each set
-into one int of a `_bitset.PackedUniverse`, so every step is unions and
-popcounts.
+{p, marker} per blue p (`pnpsc_to_rbsc`), kept implicit: the greedy scans
+the rule sets only and takes skips in label order between scans
+(`solve_pnpsc_approx` says why that is exact).
 """
 from __future__ import annotations
 
@@ -29,47 +30,34 @@ from .model import (
 )
 
 
-def _check_system(ground_a, ground_b, sets, kind_a, kind_b):
-    if ground_a & ground_b:
-        raise ValidationError(f"{kind_a} and {kind_b} elements overlap")
-    labels = set()
-    for label, members in sets:
-        if label in labels:
-            raise ValidationError(f"duplicate set label {label!r}")
-        labels.add(label)
-        stray = members - ground_a - ground_b
-        if stray:
-            raise ValidationError(
-                f"set {label!r} contains unknown elements {sorted(map(str, stray))[:3]}")
-
-
-class RbscInstance(Record):
-    """Cover every blue element while covering as few red elements as possible."""
+class SetSystem(Record):
+    """Ordered (label, elements) sets over disjoint red and blue elements:
+    cover every blue covering few reds (red-blue), or minimize `cost`
+    (positive-negative: blue is positive and red negative)."""
 
     __slots__ = ("red", "blue", "sets")
 
     def __init__(self, red: frozenset, blue: frozenset, sets: tuple):
-        # sets: ordered (label, frozenset of elements)
-        _check_system(red, blue, sets, "red", "blue")
+        if red & blue:
+            raise ValidationError("red and blue elements overlap")
+        labels, ground = set(), red | blue
+        for label, members in sets:
+            if label in labels:
+                raise ValidationError(f"duplicate set label {label!r}")
+            labels.add(label)
+            if not members <= ground:
+                stray = sorted(map(str, members - ground))[:3]
+                raise ValidationError(f"set {label!r} contains unknown elements {stray}")
         self._init(red, blue, sets)
 
-
-class PnpscInstance(Record):
-    """Minimize uncovered positives plus covered negatives."""
-
-    __slots__ = ("positive", "negative", "sets")
-
-    def __init__(self, positive: frozenset, negative: frozenset, sets: tuple):
-        _check_system(positive, negative, sets, "positive", "negative")
-        self._init(positive, negative, sets)
-
     def cost(self, labels: Iterable[str]) -> int:
+        """Uncovered blue plus covered red elements of the sets `labels` name."""
         chosen = set(labels)
         union = set()
         for label, members in self.sets:
             if label in chosen:
                 union |= members
-        return len(self.positive - union) + len(self.negative & union)
+        return len(self.blue - union) + len(self.red & union)
 
 
 class CoverSelection(Record):
@@ -82,50 +70,47 @@ class CoverSelection(Record):
         self._init(chosen, cost)
 
 
-def _fact_sets(rules: RuleSet, example: DataExample):
-    """Truth facts, spurious derivable facts, and one (rule name, facts) set per rule.
+def build_pnpsc(rules: RuleSet, example: DataExample) -> SetSystem:
+    """Truth facts become blue, spurious derivable facts red, one set per rule.
 
-    The sets are the memoized evaluation outputs themselves, so elements
-    compare as `Fact`s do: by value, whatever the spelling of a constant.
-    They are deliberately not deduplicated across rules with equal output, so
-    labels stay in one-to-one correspondence with rules.
+    No coverage requirement: truth facts no rule can derive stay uncovered
+    and cost one each.  The sets are the memoized evaluation outputs, so
+    elements compare as `Fact`s do, by value; they are not deduplicated
+    across rules with equal output, so labels and rules stay one to one.
     """
     truth = example.truth.facts
     cache = evaluated(rules, example.premise)
-    sets = tuple((r.name, cache.per_rule[r.name]) for r in rules.rules)
-    return truth, cache.union - truth, sets
+    return SetSystem(red=cache.union - truth, blue=truth,
+                     sets=tuple((r.name, cache.per_rule[r.name]) for r in rules.rules))
 
 
-def build_rbsc(rules: RuleSet, example: DataExample) -> RbscInstance:
-    """Truth facts become blue, spurious derivable facts red, one set per rule."""
+def build_rbsc(rules: RuleSet, example: DataExample) -> SetSystem:
+    """`build_pnpsc` once every truth fact is shown derivable, so that a
+    red-blue cover exists; `InfeasibleError` names the ones that are not."""
     missing = check_fp_feasible(rules, example)
     if missing:
         raise InfeasibleError(missing)
-    blue, red, sets = _fact_sets(rules, example)
-    return RbscInstance(red=red, blue=blue, sets=sets)
+    return build_pnpsc(rules, example)
 
 
-def build_pnpsc(rules: RuleSet, example: DataExample) -> PnpscInstance:
-    """Truth facts become positive, spurious derivable facts negative.
-
-    No coverage requirement: truth facts no rule can derive simply stay
-    uncovered and cost one each.
-    """
-    positive, negative, sets = _fact_sets(rules, example)
-    return PnpscInstance(positive=positive, negative=negative, sets=sets)
+def pack(system: SetSystem) -> tuple:
+    """`(universe, set masks, red mask, blue mask)`: the system packed over
+    one `PackedUniverse` of its elements, set masks in set order."""
+    universe = PackedUniverse(system.red | system.blue)
+    return (universe, universe.pack_rows([members for _, members in system.sets]),
+            universe.pack(system.red), universe.pack(system.blue))
 
 
-def _skips(instance: PnpscInstance):
-    """(label, marker, positive) per positive element, in label order.
+def _skips(system: SetSystem):
+    """(label, marker, blue) per blue element, in label order.
 
     Raises `ValidationError` when a label or marker is already taken, so the
     implicit skips of `solve_pnpsc_approx` stay a faithful stand-in for the
     explicit sets of `pnpsc_to_rbsc`.
     """
-    skips = sorted(((f"skip({p})", f"skip:{p}", p) for p in instance.positive),
-                   key=itemgetter(0))
-    taken = instance.positive | instance.negative
-    labels = {label for label, _ in instance.sets}
+    skips = sorted(((f"skip({p})", f"skip:{p}", p) for p in system.blue), key=itemgetter(0))
+    taken = system.red | system.blue
+    labels = {label for label, _ in system.sets}
     for label, marker, p in skips:
         if marker in taken or label in labels:
             raise ValidationError(f"skip marker for {p!r} collides with existing ids")
@@ -133,18 +118,19 @@ def _skips(instance: PnpscInstance):
     return skips
 
 
-def pnpsc_to_rbsc(instance: PnpscInstance) -> RbscInstance:
-    """The explicit reduction: a two-element skip set {p, marker} per positive p.
+def pnpsc_to_rbsc(system: SetSystem) -> SetSystem:
+    """The explicit reduction: a two-element skip set {p, marker} per blue p,
+    with the marker red.
 
-    Covering a positive via its skip set costs exactly one red (the marker),
-    matching the cost of leaving it uncovered on the original instance.
+    Covering a blue via its skip set costs exactly one red (the marker),
+    matching the cost of leaving it uncovered on the original system.
     `solve_pnpsc_approx` keeps these sets implicit; this function stays for
     the oracle tests and the benchmark's trace.
     """
-    skips = _skips(instance)
-    red = instance.negative | {marker for _, marker, _ in skips}
+    skips = _skips(system)
+    red = system.red | {marker for _, marker, _ in skips}
     sets = tuple((label, frozenset({p, marker})) for label, marker, p in skips)
-    return RbscInstance(red=red, blue=instance.positive, sets=(*instance.sets, *sets))
+    return SetSystem(red=red, blue=system.blue, sets=(*system.sets, *sets))
 
 
 def _thresholds(red_counts):
@@ -232,28 +218,26 @@ def _sweep(labels, masks, red, blue, skips):
     return best
 
 
-def solve_rbsc_greedy(instance: RbscInstance) -> CoverSelection:
-    """Threshold-sweep greedy over the sets of a red-blue instance.
+def solve_rbsc_greedy(system: SetSystem) -> CoverSelection:
+    """Threshold-sweep greedy for red-blue set cover.
 
     Candidates compare by fewest covered reds, then fewest sets, then
     lexicographic label list.  Fully deterministic and invariant under
     permutations of the set list.
     """
-    universe = PackedUniverse(instance.red | instance.blue)
-    masks = universe.pack_rows([members for _, members in instance.sets])
-    best = _sweep([label for label, _ in instance.sets], masks,
-                  universe.pack(instance.red), universe.pack(instance.blue), ())
+    _, masks, red, blue = pack(system)
+    best = _sweep([label for label, _ in system.sets], masks, red, blue, ())
     if best is None:  # the last threshold admits every set
-        missing = min(instance.blue.difference(*(members for _, members in instance.sets)),
+        missing = min(system.blue.difference(*(members for _, members in system.sets)),
                       key=str)
         raise CoverageError(f"blue element {missing!r} is in no set")
     cost, _, chosen = best
     return CoverSelection(chosen=chosen, cost=cost)
 
 
-def solve_pnpsc_approx(instance: PnpscInstance) -> CoverSelection:
-    """The red-blue greedy on `pnpsc_to_rbsc(instance)` with the skip sets
-    kept implicit; skip labels are dropped and the rest recosted here.
+def solve_pnpsc_approx(system: SetSystem) -> CoverSelection:
+    """The red-blue greedy on `pnpsc_to_rbsc(system)` with the skip sets kept
+    implicit; skip labels are dropped and the rest recosted by `cost`.
 
     It takes the same steps as on the explicit sets.  While p is uncovered,
     skip set {p, marker} has key (ratio 1, one new blue, label), since its
@@ -263,25 +247,18 @@ def solve_pnpsc_approx(instance: PnpscInstance) -> CoverSelection:
     sets are ever scanned; a rule taken can lower others' new reds, so a
     rescan follows it.
     """
-    labels = [label for label, _ in instance.sets]
-    universe = PackedUniverse(instance.positive | instance.negative)
-    skips = [(label, 1 << universe.index[p]) for label, _, p in _skips(instance)]
-    masks = universe.pack_rows([members for _, members in instance.sets])
-    _, _, chosen = _sweep(labels, masks, universe.pack(instance.negative),
-                          universe.pack(instance.positive), skips)
+    labels = [label for label, _ in system.sets]
+    universe, masks, red, blue = pack(system)
+    skips = [(label, 1 << universe.index[p]) for label, _, p in _skips(system)]
+    _, _, chosen = _sweep(labels, masks, red, blue, skips)
     original = set(labels)
     chosen = tuple(label for label in chosen if label in original)
-    return CoverSelection(chosen=chosen, cost=instance.cost(chosen))
+    return CoverSelection(chosen=chosen, cost=system.cost(chosen))
 
 
-def greedy_fp_bound(n_rules: int, truth_size: int) -> float:
-    """Approximation factor the FP-objective greedy is held to empirically;
-    at least 1, which a rule-free instance would otherwise fall below."""
-    return max(1.0, 2.0 * math.sqrt(n_rules * max(1.0, math.log2(max(1, truth_size)))))
-
-
-def greedy_fpfn_bound(n_rules: int, truth_size: int) -> float:
-    """Approximation factor the FP+FN-objective pipeline is held to empirically;
-    at least 1, as `greedy_fp_bound`."""
-    return max(1.0, 2.0 * math.sqrt(
-        (n_rules + truth_size) * max(1.0, math.log2(max(1, truth_size)))))
+def greedy_bound(n_sets: int, n_blue: int) -> float:
+    """Approximation factor the greedy is held to empirically on a red-blue
+    system of `n_sets` sets and `n_blue` blue elements; at least 1, which a
+    set-free system would otherwise fall below.  For the FP+FN objective the
+    system is `pnpsc_to_rbsc`'s: the rule sets plus one skip set per blue."""
+    return max(1.0, 2.0 * math.sqrt(n_sets * max(1.0, math.log2(max(1, n_blue)))))

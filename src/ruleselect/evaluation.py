@@ -10,11 +10,13 @@ the solvers reads them from there.
 from __future__ import annotations
 
 import re
+from itertools import repeat
 from operator import itemgetter
 from typing import Iterable, Optional
 
 from .model import (
     BuiltinAtom,
+    CapacityError,
     DataExample,
     ErrorReport,
     EvaluationError,
@@ -31,6 +33,10 @@ from .model import (
 )
 from .parser import write_rules
 
+#: Most matches one join step of `eval_rule` may build, refused before they
+#: are built: steps of 2^18-2^19 matches deriving as many facts peaked at
+#: 380-420 B per match (`tracemalloc`), so one at the limit stays near 200 MiB.
+MAX_JOIN_MATCHES = 2**19
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
 
@@ -102,6 +108,7 @@ def eval_rule(rule: Rule, premise: Instance, interned: Optional[dict] = None) ->
     the most already-bound variables is joined next (ties: smallest relation,
     then premise order), via the premise's shared index on its bound
     positions.  Builtins are applied as soon as all their variables are bound.
+    A step of more than `MAX_JOIN_MATCHES` matches raises `CapacityError`.
 
     A binding is a tuple: the rule's constants, one slot per occurrence, then
     the variables in the order the join binds them.  `interned` (head
@@ -179,10 +186,17 @@ def eval_rule(rule: Rule, premise: Instance, interned: Optional[dict] = None) ->
         if fixed:
             index = premise.lookup(atom.relation, tuple(fixed))
             key = itemgetter(*slots([premise_refs[pos][i] for i in fixed]))
-            matches = [(b, a) for b in bindings for a in index.get(key(b), ())]
+            buckets = [index.get(key(b), ()) for b in bindings]
+            n_matches = sum(map(len, buckets))
         else:
             bucket = premise.bucket(atom.relation)
-            matches = [(b, a) for b in bindings for a in bucket]
+            buckets = repeat(bucket, len(bindings))
+            n_matches = len(bindings) * len(bucket)
+        if n_matches > MAX_JOIN_MATCHES:
+            raise CapacityError(
+                f"rule {rule.name}: joining {atom.relation} makes {n_matches:,} matches, "
+                f"above the limit of {MAX_JOIN_MATCHES:,}")
+        matches = [(b, a) for b, found in zip(bindings, buckets) for a in found]
         if repeats:
             matches = [(b, a) for b, a in matches if all(a[i] == a[j] for i, j in repeats)]
         if fresh:

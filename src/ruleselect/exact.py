@@ -1,12 +1,13 @@
 """Exact optimization by exhaustive subset enumeration.
 
 All procedures here are exponential-time oracles over at most `max_rules`
-rules: per-rule outputs are bit vectors over the fact universe
-Eval(all rules, I) union J, and one enumeration tabulates the least error and
-its lowest subset mask per selection size.  Up to `PURE_PYTHON_RULES` (16)
-enumerated rules it runs in pure Python on the packed ints
-(`_bitset.subset_profile`); past that the numpy kernel in `_kernels` runs,
-and only then is numpy loaded.
+rules.  They read the set systems the greedy reads (`covering.build_rbsc` in
+FP mode, `build_pnpsc` in FPFN mode) as `covering.pack` packs them: per-rule
+outputs are bit vectors over the facts Eval(all rules, I) union J, and one
+enumeration tabulates the least error and its lowest subset mask per
+selection size.  Up to `PURE_PYTHON_RULES` (16) enumerated rules it runs in
+pure Python on the packed ints (`_bitset.subset_profile`); past that the
+numpy kernel in `_kernels` runs, and only then is numpy loaded.
 Witnesses are canonical: the first optimal subset with rule i (declaration
 order) at bit i, subsets ordered by ascending mask.
 
@@ -26,8 +27,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ._bitset import MAX_RULES, PackedUniverse, subset_profile
-from .evaluation import check_fp_feasible, evaluated
+from ._bitset import MAX_RULES, subset_profile
+from .covering import build_pnpsc, build_rbsc, pack
 from .model import (
     CapacityError,
     DataExample,
@@ -89,17 +90,14 @@ def _prepare(rules: RuleSet, example: DataExample, config: ExactConfig):
     positives `extra_error` counts.  Only FP mode forces rules.
     """
     fp = config.objective == "fp"
-    if not fp:  # the cap counts every rule: refuse before evaluating
-        _check_cap(len(rules), config)
-    cache = evaluated(rules, example.premise)
-    universe = PackedUniverse(cache.union | example.truth.facts)
-    rows = universe.pack_rows([cache.per_rule[r.name] for r in rules.rules])
-    j = universe.pack(example.truth.facts)
-    forced = set()
     if fp:  # infeasibility is reported ahead of the cap on the free rules
-        missing = check_fp_feasible(rules, example)
-        if missing:
-            raise InfeasibleError(missing)
+        system = build_rbsc(rules, example)
+    else:  # the cap counts every rule: refuse before evaluating
+        _check_cap(len(rules), config)
+        system = build_pnpsc(rules, example)
+    universe, rows, _, j = pack(system)
+    forced = set()
+    if fp:
         forced = _forced(rows, j)
         _check_cap(len(rows) - len(forced), config, f"free rules (of {len(rules)})")
     free = [i for i in range(len(rows)) if i not in forced]

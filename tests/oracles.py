@@ -171,7 +171,7 @@ def brute_force_rbsc_min(instance) -> int:
 
 
 def brute_force_pnpsc_min(instance) -> int:
-    """Minimum (uncovered positives + covered negatives) over all subsets."""
+    """Minimum (uncovered blues + covered reds) over all subsets."""
     best = None
     n = len(instance.sets)
     for m in range(1 << n):
@@ -179,7 +179,7 @@ def brute_force_pnpsc_min(instance) -> int:
         for i in range(n):
             if m >> i & 1:
                 union |= instance.sets[i][1]
-        cost = len(instance.positive - union) + len(instance.negative & union)
+        cost = len(instance.blue - union) + len(instance.red & union)
         if best is None or cost < best:
             best = cost
     return best

@@ -16,8 +16,7 @@ from ruleselect import (
     compute_errors,
     eval_rule,
     evaluated,
-    greedy_fp_bound,
-    greedy_fpfn_bound,
+    greedy_bound,
     pareto_front,
     pareto_membership,
     parse_facts,
@@ -29,7 +28,7 @@ from ruleselect import (
     write_facts,
     write_rules,
 )
-from ruleselect.covering import PnpscInstance
+from ruleselect.covering import SetSystem
 from ruleselect.generators import (
     GenSeed,
     gen_random_ruleselect,
@@ -107,7 +106,7 @@ def test_criterion_02_greedy_fp_within_bound():
         selection = frozenset(cover.chosen)
         rep = compute_errors(rules, selection, example)
         assert rep.fn_count == 0
-        bound = greedy_fp_bound(len(rules), truth_size)
+        bound = greedy_bound(len(rules), truth_size)
         if rep.fp_count > bound * opt:
             violations += 1
         checked += 1
@@ -131,7 +130,7 @@ def test_criterion_03_greedy_fpfn_within_bound():
         selection = frozenset(cover.chosen)
         rep = compute_errors(rules, selection, example)
         assert rep.total == cover.cost
-        bound = greedy_fpfn_bound(len(rules), truth_size)
+        bound = greedy_bound(len(rules) + truth_size, truth_size)
         if cover.cost > bound * opt:
             violations += 1
         checked += 1
@@ -172,8 +171,8 @@ def test_criterion_05_pnpsc_to_rbsc_optimum_preserved():
             members = frozenset(x for x in ground if rng.random() < 0.5)
             if members:
                 sets.append((f"s{i}", members))
-        inst = PnpscInstance(positive=frozenset(positives),
-                             negative=frozenset(negatives), sets=tuple(sets))
+        inst = SetSystem(red=frozenset(negatives), blue=frozenset(positives),
+                         sets=tuple(sets))
         assert len(inst.sets) <= 12
         assert brute_force_pnpsc_min(inst) == brute_force_rbsc_min(pnpsc_to_rbsc(inst))
         checked += 1

@@ -53,6 +53,15 @@ def test_select_greedy_fp_reports_bound_and_consistent_counts(capsys, f1_files):
     assert out["bound_value"] == 4.3611
 
 
+def test_select_greedy_fpfn_reports_the_bound_of_the_explicit_reduction(capsys, f1_files):
+    # 3 rule sets plus one skip set per truth fact: 2 * sqrt(6 * log2 3)
+    code, out, _ = run(capsys, ["select", "--objective", "fpfn",
+                                "--method", "greedy"] + f1_files)
+    assert code == 0
+    assert (out["selected_rules"], out["error"]) == (["r1", "r2"], 2)
+    assert out["bound_value"] == 6.1676
+
+
 def test_pareto_points_by_ascending_size(capsys, f1_files):
     code, out, _ = run(capsys, ["pareto"] + f1_files)
     assert code == 0
@@ -232,6 +241,32 @@ def test_exit_code_capacity_past_the_work_limit(capsys, tmp_path, n_rules, cap):
     assert code == 3 and err["error"]["code"] == "capacity_exceeded", err
     assert "word visits" in err["error"]["message"]
     assert time.perf_counter() - start < 5
+
+
+@pytest.mark.parametrize("rule, n_facts, matches", [
+    ("rule x: P(a), P(b) -> Q(a, b).", 1000, "1,000,000"),
+    ("rule x: P(a), P(b), P(c) -> Q(a, b).", 200, "8,000,000"),
+])
+def test_exit_code_capacity_past_the_join_limit(capsys, tmp_path, rule, n_facts, matches):
+    # A cross product is refused before its matches are built, not run until
+    # memory runs out.
+    import tracemalloc
+
+    (tmp_path / "rules.rules").write_text(rule + "\n")
+    (tmp_path / "premise.facts").write_text("".join(f"P({i})\n" for i in range(n_facts)))
+    (tmp_path / "truth.facts").write_text("")
+    tracemalloc.start()
+    try:
+        code, _, err = run(capsys, ["eval", "--rules", str(tmp_path / "rules.rules"),
+                                    "--premise", str(tmp_path / "premise.facts"),
+                                    "--truth", str(tmp_path / "truth.facts")])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and err["error"]["code"] == "capacity_exceeded", err
+    assert err["error"]["message"] == (
+        f"rule x: joining P makes {matches} matches, above the limit of 524,288")
+    assert peak < 64 * 2**20
 
 
 @pytest.mark.parametrize("n_forced", [26, 70])

@@ -6,8 +6,7 @@ from ruleselect import (
     DataExample,
     InfeasibleError,
     Instance,
-    PnpscInstance,
-    RbscInstance,
+    SetSystem,
     ValidationError,
     build_pnpsc,
     build_rbsc,
@@ -79,8 +78,8 @@ def test_build_rbsc_infeasible_raises(f1):
 def test_build_pnpsc_f1(f1):
     rules, example = f1
     inst = build_pnpsc(rules, example)
-    assert inst.positive == {bid("u1"), bid("u2"), bid("u3")}
-    assert inst.negative == {bid("a1"), bid("a2"), bid("a3")}
+    assert inst.blue == {bid("u1"), bid("u2"), bid("u3")}
+    assert inst.red == {bid("a1"), bid("a2"), bid("a3")}
     assert len(inst.sets) == 3
 
 
@@ -88,7 +87,7 @@ def test_build_pnpsc_empty_truth_and_empty_rules(f1):
     rules, example = f1
     empty_truth = Instance({"B": 1}, ())
     inst = build_pnpsc(rules, DataExample(example.premise, empty_truth))
-    assert inst.positive == frozenset()
+    assert inst.blue == frozenset()
     assert inst.cost(["r1"]) == 3  # covered negatives only
     none = parse_rules("")
     inst2 = build_pnpsc(none, DataExample(Instance.empty(), example.truth))
@@ -106,15 +105,15 @@ def test_pnpsc_to_rbsc_f1(f1):
 
 
 def test_pnpsc_to_rbsc_no_positives():
-    inst = PnpscInstance(positive=frozenset(), negative=frozenset({"n"}),
-                         sets=(("s", frozenset({"n"})),))
+    inst = SetSystem(red=frozenset({"n"}), blue=frozenset(),
+                     sets=(("s", frozenset({"n"})),))
     aug = pnpsc_to_rbsc(inst)
     assert aug.sets == inst.sets
-    assert aug.red == inst.negative
+    assert aug.red == inst.red
 
 
 def test_pnpsc_to_rbsc_isolated_positive():
-    inst = PnpscInstance(positive=frozenset({"p"}), negative=frozenset(), sets=())
+    inst = SetSystem(red=frozenset(), blue=frozenset({"p"}), sets=())
     aug = pnpsc_to_rbsc(inst)
     (label, members) = aug.sets[0]
     assert label == "skip(p)" and members == {"p", "skip:p"}
@@ -133,14 +132,14 @@ def test_greedy_f1(f1):
 
 
 def test_greedy_prefers_zero_red_sets():
-    inst = RbscInstance(red=frozenset({"x"}), blue=frozenset({"b1", "b2"}),
-                        sets=(("all", frozenset({"b1", "b2"})),))
+    inst = SetSystem(red=frozenset({"x"}), blue=frozenset({"b1", "b2"}),
+                     sets=(("all", frozenset({"b1", "b2"})),))
     cover = solve_rbsc_greedy(inst)
     assert cover.chosen == ("all",) and cover.cost == 0
 
 
 def test_greedy_threshold_sweep_shields_heavy_sets():
-    inst = RbscInstance(
+    inst = SetSystem(
         red=frozenset({"x1", "x2", "x3"}), blue=frozenset({"b"}),
         sets=(("heavy", frozenset({"b", "x1", "x2"})),
               ("light", frozenset({"b", "x3"}))))
@@ -164,7 +163,7 @@ def test_thresholds_are_the_red_counts_the_sweep_needs():
 
 
 def test_greedy_uncoverable_blue_raises():
-    inst = RbscInstance(red=frozenset(), blue=frozenset({"b"}), sets=())
+    inst = SetSystem(red=frozenset(), blue=frozenset({"b"}), sets=())
     with pytest.raises(CoverageError) as err:
         solve_rbsc_greedy(inst)
     assert "b" in str(err.value)
@@ -192,8 +191,8 @@ def test_greedy_deterministic_under_permutation(f1):
     rules, example = f1
     inst = build_rbsc(rules, example)
     for perm in ((2, 1, 0), (1, 2, 0), (0, 2, 1)):
-        shuffled = RbscInstance(red=inst.red, blue=inst.blue,
-                                sets=tuple(inst.sets[i] for i in perm))
+        shuffled = SetSystem(red=inst.red, blue=inst.blue,
+                             sets=tuple(inst.sets[i] for i in perm))
         assert solve_rbsc_greedy(shuffled) == solve_rbsc_greedy(inst)
 
 
@@ -204,15 +203,15 @@ def test_pnpsc_approx_f1(f1):
 
 
 def test_pnpsc_approx_nothing_to_cover():
-    inst = PnpscInstance(positive=frozenset(), negative=frozenset({"n"}),
-                         sets=(("s", frozenset({"n"})),))
+    inst = SetSystem(red=frozenset({"n"}), blue=frozenset(),
+                     sets=(("s", frozenset({"n"})),))
     cover = solve_pnpsc_approx(inst)
     assert cover.chosen == () and cover.cost == 0
 
 
 def test_pnpsc_approx_skip_beats_costly_cover():
-    inst = PnpscInstance(
-        positive=frozenset({"p"}), negative=frozenset({"n1", "n2", "n3"}),
+    inst = SetSystem(
+        red=frozenset({"n1", "n2", "n3"}), blue=frozenset({"p"}),
         sets=(("s", frozenset({"p", "n1", "n2", "n3"})),))
     cover = solve_pnpsc_approx(inst)
     assert cover.chosen == () and cover.cost == 1
@@ -263,8 +262,7 @@ def test_pnpsc_to_rbsc_preserves_optimum(seed):
         (f"s{i}", frozenset(x for x in ground if rng.random() < 0.5))
         for i in range(rng.randrange(1, 8)))
     sets = tuple((label, members) for label, members in sets if members)
-    inst = PnpscInstance(positive=frozenset(positives),
-                         negative=frozenset(negatives), sets=sets)
+    inst = SetSystem(red=frozenset(negatives), blue=frozenset(positives), sets=sets)
     assert brute_force_pnpsc_min(inst) == brute_force_rbsc_min(pnpsc_to_rbsc(inst))
 
 
@@ -314,12 +312,12 @@ def test_greedy_matches_reference_greedy(seed):
     red, blue, sets = _random_system(seed)
     union = set().union(*(members for _, members in sets))
     if blue <= union:
-        cover = solve_rbsc_greedy(RbscInstance(red=red, blue=blue, sets=sets))
+        cover = solve_rbsc_greedy(SetSystem(red=red, blue=blue, sets=sets))
         assert (cover.chosen, cover.cost) == reference_rbsc_greedy(red, blue, sets)
     else:
         with pytest.raises(CoverageError):
-            solve_rbsc_greedy(RbscInstance(red=red, blue=blue, sets=sets))
-    cover = solve_pnpsc_approx(PnpscInstance(positive=blue, negative=red, sets=sets))
+            solve_rbsc_greedy(SetSystem(red=red, blue=blue, sets=sets))
+    cover = solve_pnpsc_approx(SetSystem(red=red, blue=blue, sets=sets))
     assert (cover.chosen, cover.cost) == reference_pnpsc_approx(blue, red, sets)
 
 
@@ -328,14 +326,14 @@ def test_pnpsc_approx_rescans_after_a_rule_between_skips():
     # new blue) wins on label over skip(p1) and covers n0, which lowers b's
     # new-red/new-blue ratio to 2/2, so b beats skip(p1).  A pass that kept
     # taking skips after "skip(p0)x" without a rescan would miss b.
-    inst = PnpscInstance(
-        positive=frozenset({"p0", "p1", "p5", "p6", "p7"}),
-        negative=frozenset({"n0", "n1", "n2"}),
+    inst = SetSystem(
+        red=frozenset({"n0", "n1", "n2"}),
+        blue=frozenset({"p0", "p1", "p5", "p6", "p7"}),
         sets=(("skip(p0)x", frozenset({"p5", "n0"})),
               ("b", frozenset({"n0", "n1", "n2", "p6", "p7"}))))
     cover = solve_pnpsc_approx(inst)
     assert cover.chosen == ("b", "skip(p0)x") and cover.cost == 5
-    assert (cover.chosen, cover.cost) == reference_pnpsc_approx(inst.positive, inst.negative,
+    assert (cover.chosen, cover.cost) == reference_pnpsc_approx(inst.blue, inst.red,
                                                                 inst.sets)
 
 
@@ -343,11 +341,11 @@ def test_pnpsc_approx_takes_skips_in_label_order():
     # "skip(p!)" < "skip(p!)x" < "skip(p)", though "p" < "p!": the skip of p!
     # beats the rule, which then adds no blue.  Taking skips in positive order
     # would try skip(p) first, lose to the rule and take it.
-    inst = PnpscInstance(positive=frozenset({"p", "p!"}), negative=frozenset({"n0"}),
-                         sets=(("skip(p!)x", frozenset({"p!", "n0"})),))
+    inst = SetSystem(red=frozenset({"n0"}), blue=frozenset({"p", "p!"}),
+                     sets=(("skip(p!)x", frozenset({"p!", "n0"})),))
     cover = solve_pnpsc_approx(inst)
     assert cover.chosen == () and cover.cost == 2
-    assert (cover.chosen, cover.cost) == reference_pnpsc_approx(inst.positive, inst.negative,
+    assert (cover.chosen, cover.cost) == reference_pnpsc_approx(inst.blue, inst.red,
                                                                 inst.sets)
 
 
@@ -358,7 +356,7 @@ def test_pnpsc_approx_takes_skips_in_label_order():
     ({1, "1"}, set(), ()),  # two positives, one text: both would be labelled skip(1)
 ])
 def test_skip_ids_must_not_collide(positive, negative, sets):
-    inst = PnpscInstance(positive=frozenset(positive), negative=frozenset(negative), sets=sets)
+    inst = SetSystem(red=frozenset(negative), blue=frozenset(positive), sets=sets)
     with pytest.raises(ValidationError, match="collides"):
         pnpsc_to_rbsc(inst)
     with pytest.raises(ValidationError, match="collides"):
@@ -396,7 +394,7 @@ def _wide_system(seed):
 @settings(max_examples=200)
 def test_pnpsc_approx_matches_the_explicit_reduction_on_wide_systems(seed):
     positive, negative, sets = _wide_system(seed)
-    inst = PnpscInstance(positive=positive, negative=negative, sets=sets)
+    inst = SetSystem(red=negative, blue=positive, sets=sets)
     cover = solve_pnpsc_approx(inst)
     assert (cover.chosen, cover.cost) == reference_pnpsc_approx(positive, negative, sets)
     explicit = solve_rbsc_greedy(pnpsc_to_rbsc(inst))

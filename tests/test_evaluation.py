@@ -72,6 +72,25 @@ def test_eval_rule_unknown_relation(f1):
         eval_rule(rules.rule("r1"), Instance({"Other": 1}, ()))
 
 
+@pytest.mark.parametrize("text, facts, matches", [
+    # a scan joins each binding with the whole relation: 3 x 3
+    ("rule x: P(a, k), P(b, j) -> Q(a, b).", "P(1, 0)\nP(2, 0)\nP(3, 1)", 9),
+    # an indexed step joins each binding with its bucket on k: 2 + 2 + 1
+    ("rule y: P(a, k), P(b, k) -> Q(a, b).", "P(1, 0)\nP(2, 0)\nP(3, 1)", 5),
+])
+def test_join_limit_counts_the_matches_a_step_builds(monkeypatch, text, facts, matches):
+    from ruleselect import CapacityError, evaluation
+
+    (rule,) = parse_rules(text).rules
+    premise = parse_facts(facts, schema={"P": 2})
+    monkeypatch.setattr(evaluation, "MAX_JOIN_MATCHES", matches)
+    assert eval_rule(rule, premise) == naive_eval_rule(rule, premise)
+    monkeypatch.setattr(evaluation, "MAX_JOIN_MATCHES", matches - 1)
+    with pytest.raises(CapacityError, match=f"^rule {rule.name}: joining P makes {matches} "
+                                            f"matches, above the limit of {matches - 1}$"):
+        eval_rule(rule, premise)
+
+
 def test_eval_ruleset_unions(f1):
     rules, example = f1
     out = eval_ruleset(rules, {"r1", "r2"}, example.premise)

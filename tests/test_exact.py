@@ -11,6 +11,9 @@ from ruleselect import (
     InfeasibleError,
     Instance,
     bilevel_optimum,
+    build_pnpsc,
+    build_rbsc,
+    check_fp_feasible,
     evaluated,
     fact,
     pareto_front,
@@ -23,7 +26,13 @@ from ruleselect import _kernels, exact
 from ruleselect._bitset import MAX_UNION_WORDS, PackedUniverse, subset_profile
 from ruleselect.generators import GenSeed, gen_random_ruleselect
 
-from oracles import brute_force_front, brute_force_optimum, subset_fp_fn
+from oracles import (
+    brute_force_front,
+    brute_force_optimum,
+    brute_force_pnpsc_min,
+    brute_force_rbsc_min,
+    subset_fp_fn,
+)
 
 FP = ExactConfig(objective="fp")
 FPFN = ExactConfig(objective="fpfn")
@@ -143,6 +152,22 @@ def test_solve_exact_matches_brute_force(seed):
         err, sel = solve_exact(rules, example, ExactConfig(objective=objective))
         assert err == expect_err
         assert sel == expect_sel
+
+
+@given(st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=40)
+def test_solve_exact_matches_the_set_cover_optima(seed):
+    # The exact solvers read the systems the greedy reads; their optima are
+    # those of red-blue (FP) and positive-negative (FPFN) set cover.
+    rules, example = random_example(seed, fn_noise=0.2 if seed % 2 else 0.0)
+    err, _ = solve_exact(rules, example, FPFN)
+    assert err == brute_force_pnpsc_min(build_pnpsc(rules, example))
+    if check_fp_feasible(rules, example):
+        with pytest.raises(InfeasibleError):
+            solve_exact(rules, example, FP)
+        return
+    err, _ = solve_exact(rules, example, FP)
+    assert err == brute_force_rbsc_min(build_rbsc(rules, example))
 
 
 @given(st.integers(min_value=0, max_value=10**6))

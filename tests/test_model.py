@@ -12,18 +12,19 @@ from ruleselect import (
     DataExample,
     ErrorReport,
     EvalLimits,
+    EvaluationError,
     ExactConfig,
     Fact,
     Instance,
     ParetoPoint,
-    PnpscInstance,
-    RbscInstance,
     RelationalAtom,
     Rule,
     RuleSet,
+    SetSystem,
     Term,
     ValidationError,
     const,
+    eval_rule,
     fact,
     parse_facts,
     parse_rules,
@@ -154,9 +155,9 @@ _RECORDS = [
     lambda: ParetoPoint(1, 2, frozenset({"r"})),
     lambda: ExactConfig(),
     lambda: ExactConfig(5, objective="fp"),
-    lambda: RbscInstance(red=frozenset({"x"}), blue=frozenset({"b"}),
-                         sets=(("s", frozenset({"x", "b"})),)),
-    lambda: PnpscInstance(frozenset({"p"}), frozenset(), ()),
+    lambda: SetSystem(red=frozenset({"x"}), blue=frozenset({"b"}),
+                      sets=(("s", frozenset({"x", "b"})),)),
+    lambda: SetSystem(frozenset(), frozenset({"p"}), ()),
     lambda: CoverSelection(chosen=("s",), cost=1),
     lambda: SetCoverInstance(("u1", "u2"), (frozenset({"u1", "u2"}),)),
     lambda: GenSeed(1, 3, 2, fp_noise=0.5),
@@ -198,12 +199,25 @@ def test_records_keep_their_defaults_and_checks():
         (lambda: ExactConfig(max_rules=0), "max_rules must be positive"),
         (lambda: GenSeed(1, 0, 1), "need at least one universe element and one set"),
         (lambda: SetCoverInstance(("u",), ()), "union of the sets must equal the universe"),
-        (lambda: RbscInstance(frozenset({"x"}), frozenset({"x"}), ()),
+        (lambda: SetSystem(frozenset({"x"}), frozenset({"x"}), ()),
          "red and blue elements overlap"),
+        (lambda: SetSystem(frozenset(), frozenset({"b"}), (("s", frozenset()),) * 2),
+         "duplicate set label 's'"),
+        (lambda: SetSystem(frozenset(), frozenset({"b"}), (("s", frozenset({"b", "z"})),)),
+         r"set 's' contains unknown elements \['z'\]"),
+        (lambda: eval_rule(unsafe, Instance({"S": 1}, ())), "rule r is unsafe: y unbound"),
+        (lambda: parse_rules("rule r: S(x) -> B(x).").rule("nope"), "unknown rule name 'nope'"),
+        (lambda: GenSeed(1, 2, 3, fn_noise=-0.5), r"noise knobs must be in \[0, 1\]"),
+        (lambda: GenSeed(1, 2, 3, fp_noise=1.5), r"noise knobs must be in \[0, 1\]"),
+        (lambda: SetCoverInstance(("u", "u"), (frozenset({"u"}),)), "universe ids must be unique"),
+        (lambda: Fact("", ()), "fact needs a relation name"),
     ]
+    unsafe = Rule("r", (RelationalAtom("S", (var("x"),)),), RelationalAtom("B", (var("y"),)))
     for make, message in checks:
         with pytest.raises(ValidationError, match=f"^{message}"):
             make()
+    with pytest.raises(EvaluationError, match="^rule r: S has arity 2, atom uses 1$"):
+        eval_rule(parse_rules("rule r: S(x) -> B(x).").rules[0], Instance({"S": 2}, ()))
 
 
 def test_rule_size_single_atom():
