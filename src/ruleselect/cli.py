@@ -91,9 +91,9 @@ def _build_parser() -> _Parser:
     p_gen.add_argument("--universe", type=int, default=8)
     p_gen.add_argument("--sets", type=int, default=5)
     p_gen.add_argument("--density", type=float, default=0.3)
-    p_gen.add_argument("--fp-noise", type=float, default=0.0)
-    p_gen.add_argument("--fn-noise", type=float, default=0.0)
-    p_gen.add_argument("--join-rules", type=int, default=0)
+    p_gen.add_argument("--fp-noise", type=float, default=None)  # these three: random only
+    p_gen.add_argument("--fn-noise", type=float, default=None)
+    p_gen.add_argument("--join-rules", type=int, default=None)
     p_gen.add_argument("--out", required=True, metavar="DIR")
     p_gen.add_argument("--pretty", action="store_true")
     return parser
@@ -225,10 +225,13 @@ def _cmd_check_feasible(args) -> dict:
 def _cmd_gen(args) -> dict:
     from . import generators
 
-    gs = generators.GenSeed(
-        seed=args.seed, n_universe=args.universe, n_sets=args.sets,
-        density=args.density, fp_noise=args.fp_noise, fn_noise=args.fn_noise,
-        join_rules=args.join_rules)
+    knobs = {name: getattr(args, name) for name in ("fp_noise", "fn_noise", "join_rules")
+             if getattr(args, name) is not None}
+    if knobs and args.mode != "random":
+        option = "--" + next(iter(knobs)).replace("_", "-")
+        raise UsageError(f"{option} applies only to gen random")
+    gs = generators.GenSeed(seed=args.seed, n_universe=args.universe, n_sets=args.sets,
+                            density=args.density, **knobs)
     if args.mode == "random":
         rules, example = generators.gen_random_ruleselect(gs)
     else:

@@ -9,7 +9,6 @@ from __future__ import annotations
 import json
 import random
 import re
-from typing import Optional
 
 from .evaluation import evaluated
 from .model import (
@@ -30,11 +29,11 @@ _CLONE_RE = re.compile(r"b\d+\^\d+\Z")
 
 
 class SetCoverInstance(Record):
-    """A universe, a list of covering sets whose union is the universe, optional k."""
+    """A universe and a list of covering sets whose union is the universe."""
 
-    __slots__ = ("universe", "sets", "k")
+    __slots__ = ("universe", "sets")
 
-    def __init__(self, universe: tuple, sets: tuple, k: Optional[int] = None):
+    def __init__(self, universe: tuple, sets: tuple):
         # sets: frozensets of universe ids
         if len(set(universe)) != len(universe):
             raise ValidationError("universe ids must be unique")
@@ -45,7 +44,7 @@ class SetCoverInstance(Record):
             union |= s
         if union != set(universe):
             raise ValidationError("union of the sets must equal the universe")
-        self._init(universe, sets, k)
+        self._init(universe, sets)
 
 
 class GenSeed(Record):

@@ -81,9 +81,9 @@ _set_field = object.__setattr__
 #: the evaluation module; the model and parser only need the registry keys.
 BUILTIN_NAMES = frozenset({"neq", "eq", "jaccard_geq", "geq", "leq"})
 
-#: Number of terms each builtin takes (jaccard_geq additionally takes a
+#: Number of terms every builtin takes (jaccard_geq additionally takes a
 #: decimal threshold literal, which is not a term).
-BUILTIN_TERM_COUNTS = {"neq": 2, "eq": 2, "jaccard_geq": 2, "geq": 2, "leq": 2}
+BUILTIN_TERMS = 2
 
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
@@ -117,43 +117,30 @@ def literal(v) -> str:
     return str(v)
 
 
-class Fact:
+class Fact(tuple):
     """One tuple of a named relation; facts have set semantics inside an Instance.
 
-    Immutable, and its hash is computed once, at construction: facts are
-    hashed on every set operation of evaluation, error counting and packing.
+    A fact is the tuple `(relation, args)`: hashing, equality and
+    immutability are the tuple's, so a fact equals the plain tuple of its
+    two fields.
     """
 
-    __slots__ = ("relation", "args", "_hash")
+    __slots__ = ()
 
-    def __init__(self, relation: str, args: tuple):
+    def __new__(cls, relation: str, args: tuple):
         if not relation:
             raise ValidationError("fact needs a relation name")
         if not isinstance(args, tuple):
             raise ValidationError(f"fact arguments must be a tuple, not {type(args).__name__}")
         for a in args:
             check_constant(a)
-        _set_relation(self, relation)
-        _set_args(self, args)
-        _set_hash(self, hash((relation, args)))
+        return tuple.__new__(cls, (relation, args))
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to {name!r}: facts are immutable")
+    relation = property(itemgetter(0))
+    args = property(itemgetter(1))
 
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete {name!r}: facts are immutable")
-
-    def __eq__(self, other):
-        if other.__class__ is not Fact:
-            return NotImplemented
-        return (self._hash == other._hash and self.relation == other.relation
-                and self.args == other.args)
-
-    def __hash__(self):
-        return self._hash
-
-    def __reduce__(self):
-        return Fact, (self.relation, self.args)
+    def __getnewargs__(self):
+        return tuple(self)
 
     def __repr__(self):
         return f"Fact(relation={self.relation!r}, args={self.args!r})"
@@ -167,22 +154,11 @@ class Fact:
         return f"{self.relation}({', '.join(map(literal, self.args))})"
 
 
-# The slots' own setters, which `Fact.__setattr__` does not guard.
-_set_relation = Fact.relation.__set__
-_set_args = Fact.args.__set__
-_set_hash = Fact._hash.__set__
-_new_object = object.__new__
-
-
 def checked_fact(relation: str, args: tuple) -> Fact:
     """A `Fact` from a relation name and a tuple of constants that were
     already checked (parsed literals, premise values, rule constants): it
     skips the checks of `Fact(...)`."""
-    f = _new_object(Fact)
-    _set_relation(f, relation)
-    _set_args(f, args)
-    _set_hash(f, hash((relation, args)))
-    return f
+    return tuple.__new__(Fact, (relation, args))
 
 
 def fact(relation: str, *args) -> Fact:
@@ -340,9 +316,8 @@ class BuiltinAtom(Record):
     def __init__(self, name: str, terms: tuple, threshold: Optional[Decimal] = None):
         if name not in BUILTIN_NAMES:
             raise ValidationError(f"unknown builtin {name!r}")
-        want = BUILTIN_TERM_COUNTS[name]
-        if len(terms) != want:
-            raise ValidationError(f"builtin {name} takes {want} terms")
+        if len(terms) != BUILTIN_TERMS:
+            raise ValidationError(f"builtin {name} takes {BUILTIN_TERMS} terms")
         if (name == "jaccard_geq") != (threshold is not None):
             raise ValidationError(f"builtin {name}: bad threshold usage")
         self._init(name, terms, threshold)

@@ -98,7 +98,6 @@ def test_criterion_02_greedy_fp_within_bound():
     violations = 0
     checked = 0
     for rules, example in random_instances(220, base_seed=402, max_sets=12):
-        cache = evaluated(rules, example.premise)
         truth_size = len(example.truth.facts)
         assert truth_size <= 40
         opt, _ = solve_exact(rules, example, FP)
@@ -122,7 +121,6 @@ def test_criterion_03_greedy_fpfn_within_bound():
     checked = 0
     for rules, example in random_instances(220, base_seed=403, max_sets=12,
                                            fn_noise=0.3):
-        cache = evaluated(rules, example.premise)
         truth_size = len(example.truth.facts)
         assert truth_size <= 40
         opt, _ = solve_exact(rules, example, FPFN)

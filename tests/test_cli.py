@@ -403,6 +403,23 @@ def test_gen_writes_reproducible_files(capsys, tmp_path):
     assert manifest["seed"] == 7 and manifest["kind"] == "thm1"
 
 
+def test_random_only_gen_options_are_usage_errors_in_set_cover_modes(capsys, tmp_path):
+    for mode in ("thm1", "thm3", "clones"):
+        for option, value in (("--fp-noise", "0.5"), ("--fn-noise", "0"), ("--join-rules", "3")):
+            code, out, err = run(capsys, ["gen", mode, "--seed", "3", option, value,
+                                          "--out", str(tmp_path / mode)])
+            assert code == 1 and out is None and not (tmp_path / mode).exists()
+            assert err == {"error": {"code": "usage",
+                                     "message": f"{option} applies only to gen random"}}
+    # gen random writes the same files whether the default knobs are spelled out or not
+    args = ["gen", "random", "--seed", "3"]
+    assert run(capsys, args + ["--out", str(tmp_path / "a")])[0] == 0
+    assert run(capsys, args + ["--fp-noise", "0", "--fn-noise", "0", "--join-rules", "0",
+                               "--out", str(tmp_path / "b")])[0] == 0
+    for name in ("manifest.json", "premise.facts", "rules.rules", "truth.facts"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
 def test_gen_modes_produce_parseable_solvable_instances(capsys, tmp_path):
     from ruleselect import parse_facts, parse_rules
 

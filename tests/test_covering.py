@@ -11,7 +11,6 @@ from ruleselect import (
     build_pnpsc,
     build_rbsc,
     compute_errors,
-    evaluated,
     fact,
     parse_facts,
     parse_rules,
@@ -224,7 +223,6 @@ def test_fp_cost_preservation_exhaustive(seed):
     rules, example = gen_random_ruleselect(
         GenSeed(seed=seed, n_universe=6, n_sets=6, density=0.4,
                 fp_noise=0.4, fn_noise=0.0, join_rules=1))
-    cache = evaluated(rules, example.premise)
     inst = build_rbsc(rules, example)
     members = dict(inst.sets)
     for sel in subsets_canonical(rules.names()):
@@ -242,7 +240,6 @@ def test_total_cost_preservation_exhaustive(seed):
     rules, example = gen_random_ruleselect(
         GenSeed(seed=seed, n_universe=6, n_sets=6, density=0.4,
                 fp_noise=0.4, fn_noise=0.2, join_rules=1))
-    cache = evaluated(rules, example.premise)
     inst = build_pnpsc(rules, example)
     for sel in subsets_canonical(rules.names()):
         rep = compute_errors(rules, sel, example)

@@ -254,7 +254,6 @@ def test_error_report_consistency(seed):
     rules, example = gen_random_ruleselect(
         GenSeed(seed=seed, n_universe=6, n_sets=4, density=0.4,
                 fp_noise=0.2, fn_noise=0.2, join_rules=1))
-    cache = evaluated(rules, example.premise)
     rep = compute_errors(rules, frozenset(rules.names()), example)
     assert rep.fp & example.truth.facts == frozenset()
     assert rep.fn <= example.truth.facts

@@ -147,7 +147,6 @@ def test_generated_rules_validate_within_limits():
 
 def test_marker_fp_sets_are_exactly_markers():
     rules, example = rules_from_set_cover(F1_SC)
-    cache = evaluated(rules, example.premise)
     for sel in subsets_canonical(rules.names()):
         covered = set().union(*(F1_SC.sets[int(n[1:]) - 1] for n in sel)) if sel else set()
         if covered == set(F1_SC.universe):

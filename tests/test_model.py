@@ -54,11 +54,18 @@ def test_fact_stored_hash_keeps_value_equality():
     assert (repr(one_decimal), str(one_decimal)) == (
         "Fact(relation='R', args=(Decimal('1.0'),))", "R(1.0)")
     assert pickle.loads(pickle.dumps(one_decimal)) == one_decimal
+    for f in (one, one_decimal, text, checked_fact("R", (1,))):
+        assert type(f) is Fact and hash(f) == hash((f.relation, f.args))
+        copies = [copy.copy(f), copy.deepcopy(f)]
+        copies += [pickle.loads(pickle.dumps(f, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for again in copies:
+            assert type(again) is Fact and again == f and again.args == f.args
 
 
 @pytest.mark.parametrize("name", ["relation", "args", "_hash", "other"])
 def test_fact_is_immutable(name):
     f = fact("R", 1)
+    assert not hasattr(f, "__dict__")
     with pytest.raises(AttributeError):
         setattr(f, name, 2)
     with pytest.raises(AttributeError):
