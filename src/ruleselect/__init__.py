@@ -20,8 +20,8 @@ _EXPORTS = {
         "solve_rbsc_greedy",
     ),
     "evaluation": (
-        "EvalCache", "check_fp_feasible", "compute_errors", "eval_rule",
-        "eval_ruleset", "evaluated", "jaccard",
+        "check_fp_feasible", "compute_errors", "eval_rule", "eval_ruleset",
+        "evaluated", "jaccard",
     ),
     "exact": (
         "ExactConfig", "bilevel_optimum", "pareto_front", "pareto_membership",

@@ -1,15 +1,15 @@
 """Set-system reductions and the threshold-sweep greedy approximation solvers.
 
-A rule-selection problem maps to one `SetSystem`: truth facts blue, spurious
-derivable facts red, one set per rule.  As red-blue set cover (`build_rbsc`)
-it is the FP objective, as positive-negative partial set cover
-(`build_pnpsc`) the FP+FN one.  The greedy here and the exact solvers read
-these systems as `pack` packs them into the ints of a
+A rule-selection problem maps to one `SetSystem`: one set per rule, truth
+facts blue, and red every derivable fact that is not blue.  As red-blue set
+cover (`build_rbsc`) it is the FP objective, as positive-negative partial set
+cover (`build_pnpsc`) the FP+FN one.  The greedy here and the exact solvers
+read these systems as `pack` packs them into the ints of a
 `_bitset.PackedUniverse`, so every step is unions and popcounts.  The
-positive-negative problem is the red-blue one augmented with a "skip" set
-{p, marker} per blue p (`pnpsc_to_rbsc`), kept implicit: the greedy scans
-the rule sets only and takes skips in label order between scans
-(`solve_pnpsc_approx` says why that is exact).
+positive-negative problem is the red-blue one plus a "skip" set per blue p,
+{p, a fresh red}.  `pnpsc_to_rbsc` builds these sets; the greedy keeps them
+implicit, scans the rule sets only and takes skips in label order between
+scans (`solve_pnpsc_approx` says why that is exact).
 """
 from __future__ import annotations
 
@@ -31,24 +31,23 @@ from .model import (
 
 
 class SetSystem(Record):
-    """Ordered (label, elements) sets over disjoint red and blue elements:
-    cover every blue covering few reds (red-blue), or minimize `cost`
-    (positive-negative: blue is positive and red negative)."""
+    """Blue elements and ordered (label, elements) sets, red being every set
+    element that is not blue: cover every blue covering few reds (red-blue),
+    or minimize `cost` (positive-negative: blue is positive and red negative)."""
 
-    __slots__ = ("red", "blue", "sets")
+    __slots__ = ("blue", "sets")
 
-    def __init__(self, red: frozenset, blue: frozenset, sets: tuple):
-        if red & blue:
-            raise ValidationError("red and blue elements overlap")
-        labels, ground = set(), red | blue
-        for label, members in sets:
+    def __init__(self, blue: frozenset, sets: tuple):
+        labels = set()
+        for label, _ in sets:
             if label in labels:
                 raise ValidationError(f"duplicate set label {label!r}")
             labels.add(label)
-            if not members <= ground:
-                stray = sorted(map(str, members - ground))[:3]
-                raise ValidationError(f"set {label!r} contains unknown elements {stray}")
-        self._init(red, blue, sets)
+        self._init(blue, sets)
+
+    @property
+    def red(self) -> frozenset:
+        return frozenset().union(*(members for _, members in self.sets)) - self.blue
 
     def cost(self, labels: Iterable[str]) -> int:
         """Uncovered blue plus covered red elements of the sets `labels` name."""
@@ -57,7 +56,7 @@ class SetSystem(Record):
         for label, members in self.sets:
             if label in chosen:
                 union |= members
-        return len(self.blue - union) + len(self.red & union)
+        return len(self.blue ^ union)
 
 
 class CoverSelection(Record):
@@ -71,16 +70,15 @@ class CoverSelection(Record):
 
 
 def build_pnpsc(rules: RuleSet, example: DataExample) -> SetSystem:
-    """Truth facts become blue, spurious derivable facts red, one set per rule.
+    """Truth facts become blue and each rule's outputs one set; the rest are red.
 
     No coverage requirement: truth facts no rule can derive stay uncovered
     and cost one each.  The sets are the memoized evaluation outputs, so
     elements compare as `Fact`s do, by value; they are not deduplicated
     across rules with equal output, so labels and rules stay one to one.
     """
-    truth = example.truth.facts
     cache = evaluated(rules, example.premise)
-    return SetSystem(red=cache.union - truth, blue=truth,
+    return SetSystem(blue=example.truth.facts,
                      sets=tuple((r.name, cache.per_rule[r.name]) for r in rules.rules))
 
 
@@ -94,43 +92,43 @@ def build_rbsc(rules: RuleSet, example: DataExample) -> SetSystem:
 
 
 def pack(system: SetSystem) -> tuple:
-    """`(universe, set masks, red mask, blue mask)`: the system packed over
-    one `PackedUniverse` of its elements, set masks in set order."""
-    universe = PackedUniverse(system.red | system.blue)
-    return (universe, universe.pack_rows([members for _, members in system.sets]),
-            universe.pack(system.red), universe.pack(system.blue))
+    """`(universe, set masks, red mask, blue mask)`: the system packed over one
+    `PackedUniverse` of its elements, set masks in set order, red = not blue."""
+    rows = [members for _, members in system.sets]
+    universe = PackedUniverse(system.blue.union(*rows))
+    blue = universe.pack(system.blue)
+    return universe, universe.pack_rows(rows), ((1 << len(universe.facts)) - 1) & ~blue, blue
 
 
 def _skips(system: SetSystem):
-    """(label, marker, blue) per blue element, in label order.
-
-    Raises `ValidationError` when a label or marker is already taken, so the
-    implicit skips of `solve_pnpsc_approx` stay a faithful stand-in for the
-    explicit sets of `pnpsc_to_rbsc`.
-    """
-    skips = sorted(((f"skip({p})", f"skip:{p}", p) for p in system.blue), key=itemgetter(0))
-    taken = system.red | system.blue
+    """(label, blue) per skip set, in label order; `ValidationError` when a
+    label is already taken, by a set or by another skip."""
+    skips = sorted(((f"skip({p})", p) for p in system.blue), key=itemgetter(0))
     labels = {label for label, _ in system.sets}
-    for label, marker, p in skips:
-        if marker in taken or label in labels:
-            raise ValidationError(f"skip marker for {p!r} collides with existing ids")
+    for label, p in skips:
+        if label in labels:
+            raise ValidationError(f"skip label for {p!r} collides with existing ids")
         labels.add(label)
     return skips
 
 
 def pnpsc_to_rbsc(system: SetSystem) -> SetSystem:
-    """The explicit reduction: a two-element skip set {p, marker} per blue p,
-    with the marker red.
+    """The explicit reduction: a skip set {p, marker} per blue p, marker red.
 
     Covering a blue via its skip set costs exactly one red (the marker),
-    matching the cost of leaving it uncovered on the original system.
+    matching the cost of leaving it uncovered on the original system; a
+    marker that is already an element raises `ValidationError`.
     `solve_pnpsc_approx` keeps these sets implicit; this function stays for
     the oracle tests and the benchmark's trace.
     """
-    skips = _skips(system)
-    red = system.red | {marker for _, marker, _ in skips}
-    sets = tuple((label, frozenset({p, marker})) for label, marker, p in skips)
-    return SetSystem(red=red, blue=system.blue, sets=(*system.sets, *sets))
+    taken = system.blue | system.red
+    sets = []
+    for label, p in _skips(system):
+        marker = f"skip:{p}"
+        if marker in taken:
+            raise ValidationError(f"skip marker for {p!r} collides with existing ids")
+        sets.append((label, frozenset({p, marker})))
+    return SetSystem(blue=system.blue, sets=(*system.sets, *sets))
 
 
 def _thresholds(red_counts):
@@ -241,7 +239,7 @@ def solve_pnpsc_approx(system: SetSystem) -> CoverSelection:
 
     It takes the same steps as on the explicit sets.  While p is uncovered,
     skip set {p, marker} has key (ratio 1, one new blue, label), since its
-    marker is in no other set.  Taking it covers p alone, which never lowers
+    marker is a fresh red.  Taking it covers p alone, which never lowers
     another set's key.  So skips that beat a scan's best key, taken lowest
     label first, still beat every set after each other, and only the rule
     sets are ever scanned; a rule taken can lower others' new reds, so a
@@ -249,7 +247,7 @@ def solve_pnpsc_approx(system: SetSystem) -> CoverSelection:
     """
     labels = [label for label, _ in system.sets]
     universe, masks, red, blue = pack(system)
-    skips = [(label, 1 << universe.index[p]) for label, _, p in _skips(system)]
+    skips = [(label, 1 << universe.index[p]) for label, p in _skips(system)]
     _, _, chosen = _sweep(labels, masks, red, blue, skips)
     original = set(labels)
     chosen = tuple(label for label in chosen if label in original)
@@ -260,5 +258,6 @@ def greedy_bound(n_sets: int, n_blue: int) -> float:
     """Approximation factor the greedy is held to empirically on a red-blue
     system of `n_sets` sets and `n_blue` blue elements; at least 1, which a
     set-free system would otherwise fall below.  For the FP+FN objective the
-    system is `pnpsc_to_rbsc`'s: the rule sets plus one skip set per blue."""
+    system is `pnpsc_to_rbsc`'s, so `n_sets` counts the rule sets plus one
+    skip set per blue, which `solve_pnpsc_approx` keeps implicit."""
     return max(1.0, 2.0 * math.sqrt(n_sets * max(1.0, math.log2(max(1, n_blue)))))

@@ -231,15 +231,15 @@ def gen_random_ruleselect(gs: GenSeed):
 
 
 def manifest_line(kind: str, gs: GenSeed) -> str:
-    """One JSON line recording how to regenerate an emitted instance."""
+    """One JSON line recording how to regenerate an emitted instance; the
+    noise and join knobs, which only `random` reads, only for `random`."""
     payload = {
         "kind": kind,
         "seed": gs.seed,
         "n_universe": gs.n_universe,
         "n_sets": gs.n_sets,
         "density": gs.density,
-        "fp_noise": gs.fp_noise,
-        "fn_noise": gs.fn_noise,
-        "join_rules": gs.join_rules,
     }
+    if kind == "random":
+        payload.update(fp_noise=gs.fp_noise, fn_noise=gs.fn_noise, join_rules=gs.join_rules)
     return json.dumps(payload, sort_keys=True)

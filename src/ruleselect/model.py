@@ -504,14 +504,12 @@ def ruleset_size(selection: Iterable[str], rules: RuleSet) -> int:
 
 
 def validate(rules: RuleSet, limits: Optional[EvalLimits] = None) -> None:
-    """Check safety, schema disjointness, and (when given) evaluation limits.
+    """Check each rule's relations against the schemas, its safety, and (when
+    given) the evaluation limits; `RuleSet` already keeps the schemas disjoint.
 
     Raises `ValidationError` for the first violation, in rule order, naming
     the offending rule.
     """
-    overlap = set(rules.premise_schema) & set(rules.conclusion_schema)
-    if overlap:
-        raise ValidationError(f"schemas overlap on {sorted(overlap)}")
     for r in rules.rules:
         where = f"rule {r.name}: "
         for side, schema, atoms in (("premise", rules.premise_schema, r.relational_atoms()),

@@ -169,8 +169,7 @@ def test_criterion_05_pnpsc_to_rbsc_optimum_preserved():
             members = frozenset(x for x in ground if rng.random() < 0.5)
             if members:
                 sets.append((f"s{i}", members))
-        inst = SetSystem(red=frozenset(negatives), blue=frozenset(positives),
-                         sets=tuple(sets))
+        inst = SetSystem(blue=frozenset(positives), sets=tuple(sets))
         assert len(inst.sets) <= 12
         assert brute_force_pnpsc_min(inst) == brute_force_rbsc_min(pnpsc_to_rbsc(inst))
         checked += 1

@@ -403,6 +403,15 @@ def test_gen_writes_reproducible_files(capsys, tmp_path):
     assert manifest["seed"] == 7 and manifest["kind"] == "thm1"
 
 
+def test_only_random_manifests_record_the_random_only_knobs(capsys, tmp_path):
+    knobs = {"fp_noise", "fn_noise", "join_rules"}
+    for mode in ("random", "thm1", "thm3", "clones"):
+        assert run(capsys, ["gen", mode, "--seed", "2", "--out", str(tmp_path / mode)])[0] == 0
+        manifest = json.loads((tmp_path / mode / "manifest.json").read_text())
+        assert manifest["kind"] == mode and manifest["seed"] == 2
+        assert knobs & manifest.keys() == (knobs if mode == "random" else set())
+
+
 def test_random_only_gen_options_are_usage_errors_in_set_cover_modes(capsys, tmp_path):
     for mode in ("thm1", "thm3", "clones"):
         for option, value in (("--fp-noise", "0.5"), ("--fn-noise", "0"), ("--join-rules", "3")):

@@ -11,6 +11,7 @@ from ruleselect import (
     build_pnpsc,
     build_rbsc,
     compute_errors,
+    evaluated,
     fact,
     parse_facts,
     parse_rules,
@@ -19,6 +20,7 @@ from ruleselect import (
     solve_rbsc_greedy,
 )
 from ruleselect._bitset import PackedUniverse
+from ruleselect.covering import pack
 from ruleselect.generators import GenSeed, gen_random_ruleselect
 
 from oracles import (
@@ -66,6 +68,33 @@ def test_build_rbsc_restricted(f1):
     assert inst.red == {bid("a2"), bid("a3")}
 
 
+def test_red_is_every_set_element_that_is_not_blue():
+    # "b" is in a set and blue: blue only; "lone" is blue in no set, and an
+    # element in no set is never red.
+    inst = SetSystem(blue=frozenset({"b", "lone"}),
+                     sets=(("s", frozenset({"b", "x"})), ("t", frozenset({"x", "y"}))))
+    assert inst.red == {"x", "y"}
+    assert inst.cost(["s"]) == 2 and inst.cost(["s", "t"]) == 3
+    assert SetSystem(blue=frozenset({"b"}), sets=()).red == frozenset()
+    universe, masks, red, blue = pack(inst)
+    assert set(universe.facts) == {"b", "lone", "x", "y"}
+    assert red == universe.pack({"x", "y"}) and blue == universe.pack({"b", "lone"})
+    assert masks == [universe.pack(members) for _, members in inst.sets]
+
+
+@given(st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=40)
+def test_derived_red_matches_the_spurious_derivable_facts(seed):
+    rules, example = gen_random_ruleselect(
+        GenSeed(seed=seed, n_universe=12, n_sets=6, density=0.4,
+                fp_noise=0.4, fn_noise=0.2, join_rules=2))
+    inst = build_pnpsc(rules, example)
+    truth = example.truth.facts
+    assert inst.red == evaluated(rules, example.premise).union - truth
+    universe, _, red, blue = pack(inst)
+    assert red == universe.pack(inst.red) and blue == universe.pack(truth)
+
+
 def test_build_rbsc_infeasible_raises(f1):
     rules, example = f1
     truth = Instance({"B": 1}, list(example.truth.facts) + [fact("B", "zz")])
@@ -104,15 +133,14 @@ def test_pnpsc_to_rbsc_f1(f1):
 
 
 def test_pnpsc_to_rbsc_no_positives():
-    inst = SetSystem(red=frozenset({"n"}), blue=frozenset(),
-                     sets=(("s", frozenset({"n"})),))
+    inst = SetSystem(blue=frozenset(), sets=(("s", frozenset({"n"})),))
     aug = pnpsc_to_rbsc(inst)
     assert aug.sets == inst.sets
     assert aug.red == inst.red
 
 
 def test_pnpsc_to_rbsc_isolated_positive():
-    inst = SetSystem(red=frozenset(), blue=frozenset({"p"}), sets=())
+    inst = SetSystem(blue=frozenset({"p"}), sets=())
     aug = pnpsc_to_rbsc(inst)
     (label, members) = aug.sets[0]
     assert label == "skip(p)" and members == {"p", "skip:p"}
@@ -131,15 +159,14 @@ def test_greedy_f1(f1):
 
 
 def test_greedy_prefers_zero_red_sets():
-    inst = SetSystem(red=frozenset({"x"}), blue=frozenset({"b1", "b2"}),
-                     sets=(("all", frozenset({"b1", "b2"})),))
+    inst = SetSystem(blue=frozenset({"b1", "b2"}), sets=(("all", frozenset({"b1", "b2"})),))
     cover = solve_rbsc_greedy(inst)
     assert cover.chosen == ("all",) and cover.cost == 0
 
 
 def test_greedy_threshold_sweep_shields_heavy_sets():
     inst = SetSystem(
-        red=frozenset({"x1", "x2", "x3"}), blue=frozenset({"b"}),
+        blue=frozenset({"b"}),
         sets=(("heavy", frozenset({"b", "x1", "x2"})),
               ("light", frozenset({"b", "x3"}))))
     cover = solve_rbsc_greedy(inst)
@@ -162,7 +189,7 @@ def test_thresholds_are_the_red_counts_the_sweep_needs():
 
 
 def test_greedy_uncoverable_blue_raises():
-    inst = SetSystem(red=frozenset(), blue=frozenset({"b"}), sets=())
+    inst = SetSystem(blue=frozenset({"b"}), sets=())
     with pytest.raises(CoverageError) as err:
         solve_rbsc_greedy(inst)
     assert "b" in str(err.value)
@@ -190,8 +217,7 @@ def test_greedy_deterministic_under_permutation(f1):
     rules, example = f1
     inst = build_rbsc(rules, example)
     for perm in ((2, 1, 0), (1, 2, 0), (0, 2, 1)):
-        shuffled = SetSystem(red=inst.red, blue=inst.blue,
-                             sets=tuple(inst.sets[i] for i in perm))
+        shuffled = SetSystem(blue=inst.blue, sets=tuple(inst.sets[i] for i in perm))
         assert solve_rbsc_greedy(shuffled) == solve_rbsc_greedy(inst)
 
 
@@ -202,15 +228,14 @@ def test_pnpsc_approx_f1(f1):
 
 
 def test_pnpsc_approx_nothing_to_cover():
-    inst = SetSystem(red=frozenset({"n"}), blue=frozenset(),
-                     sets=(("s", frozenset({"n"})),))
+    inst = SetSystem(blue=frozenset(), sets=(("s", frozenset({"n"})),))
     cover = solve_pnpsc_approx(inst)
     assert cover.chosen == () and cover.cost == 0
 
 
 def test_pnpsc_approx_skip_beats_costly_cover():
     inst = SetSystem(
-        red=frozenset({"n1", "n2", "n3"}), blue=frozenset({"p"}),
+        blue=frozenset({"p"}),
         sets=(("s", frozenset({"p", "n1", "n2", "n3"})),))
     cover = solve_pnpsc_approx(inst)
     assert cover.chosen == () and cover.cost == 1
@@ -259,7 +284,7 @@ def test_pnpsc_to_rbsc_preserves_optimum(seed):
         (f"s{i}", frozenset(x for x in ground if rng.random() < 0.5))
         for i in range(rng.randrange(1, 8)))
     sets = tuple((label, members) for label, members in sets if members)
-    inst = SetSystem(red=frozenset(negatives), blue=frozenset(positives), sets=sets)
+    inst = SetSystem(blue=frozenset(positives), sets=sets)
     assert brute_force_pnpsc_min(inst) == brute_force_rbsc_min(pnpsc_to_rbsc(inst))
 
 
@@ -309,12 +334,12 @@ def test_greedy_matches_reference_greedy(seed):
     red, blue, sets = _random_system(seed)
     union = set().union(*(members for _, members in sets))
     if blue <= union:
-        cover = solve_rbsc_greedy(SetSystem(red=red, blue=blue, sets=sets))
+        cover = solve_rbsc_greedy(SetSystem(blue=blue, sets=sets))
         assert (cover.chosen, cover.cost) == reference_rbsc_greedy(red, blue, sets)
     else:
         with pytest.raises(CoverageError):
-            solve_rbsc_greedy(SetSystem(red=red, blue=blue, sets=sets))
-    cover = solve_pnpsc_approx(SetSystem(red=red, blue=blue, sets=sets))
+            solve_rbsc_greedy(SetSystem(blue=blue, sets=sets))
+    cover = solve_pnpsc_approx(SetSystem(blue=blue, sets=sets))
     assert (cover.chosen, cover.cost) == reference_pnpsc_approx(blue, red, sets)
 
 
@@ -324,7 +349,6 @@ def test_pnpsc_approx_rescans_after_a_rule_between_skips():
     # new-red/new-blue ratio to 2/2, so b beats skip(p1).  A pass that kept
     # taking skips after "skip(p0)x" without a rescan would miss b.
     inst = SetSystem(
-        red=frozenset({"n0", "n1", "n2"}),
         blue=frozenset({"p0", "p1", "p5", "p6", "p7"}),
         sets=(("skip(p0)x", frozenset({"p5", "n0"})),
               ("b", frozenset({"n0", "n1", "n2", "p6", "p7"}))))
@@ -338,8 +362,7 @@ def test_pnpsc_approx_takes_skips_in_label_order():
     # "skip(p!)" < "skip(p!)x" < "skip(p)", though "p" < "p!": the skip of p!
     # beats the rule, which then adds no blue.  Taking skips in positive order
     # would try skip(p) first, lose to the rule and take it.
-    inst = SetSystem(red=frozenset({"n0"}), blue=frozenset({"p", "p!"}),
-                     sets=(("skip(p!)x", frozenset({"p!", "n0"})),))
+    inst = SetSystem(blue=frozenset({"p", "p!"}), sets=(("skip(p!)x", frozenset({"p!", "n0"})),))
     cover = solve_pnpsc_approx(inst)
     assert cover.chosen == () and cover.cost == 2
     assert (cover.chosen, cover.cost) == reference_pnpsc_approx(inst.blue, inst.red,
@@ -353,11 +376,18 @@ def test_pnpsc_approx_takes_skips_in_label_order():
     ({1, "1"}, set(), ()),  # two positives, one text: both would be labelled skip(1)
 ])
 def test_skip_ids_must_not_collide(positive, negative, sets):
-    inst = SetSystem(red=frozenset(negative), blue=frozenset(positive), sets=sets)
+    # The negatives form a set of their own.  The explicit reduction refuses
+    # a taken skip label or marker.  The greedy's implicit skips have labels
+    # but no markers, so it refuses only a taken label.
+    inst = SetSystem(blue=frozenset(positive), sets=(*sets, ("n", frozenset(negative))))
     with pytest.raises(ValidationError, match="collides"):
         pnpsc_to_rbsc(inst)
-    with pytest.raises(ValidationError, match="collides"):
-        solve_pnpsc_approx(inst)
+    if {f"skip:{p}" for p in positive} & (positive | negative):
+        cover = solve_pnpsc_approx(inst)
+        assert cover.chosen == () and cover.cost == len(positive)
+    else:
+        with pytest.raises(ValidationError, match="collides"):
+            solve_pnpsc_approx(inst)
 
 
 # Labels next to the skip labels of positives p0..p29 and p0!..p29!, equal to
@@ -391,7 +421,7 @@ def _wide_system(seed):
 @settings(max_examples=200)
 def test_pnpsc_approx_matches_the_explicit_reduction_on_wide_systems(seed):
     positive, negative, sets = _wide_system(seed)
-    inst = SetSystem(red=negative, blue=positive, sets=sets)
+    inst = SetSystem(blue=positive, sets=sets)
     cover = solve_pnpsc_approx(inst)
     assert (cover.chosen, cover.cost) == reference_pnpsc_approx(positive, negative, sets)
     explicit = solve_rbsc_greedy(pnpsc_to_rbsc(inst))

@@ -162,9 +162,8 @@ _RECORDS = [
     lambda: ParetoPoint(1, 2, frozenset({"r"})),
     lambda: ExactConfig(),
     lambda: ExactConfig(5, objective="fp"),
-    lambda: SetSystem(red=frozenset({"x"}), blue=frozenset({"b"}),
-                      sets=(("s", frozenset({"x", "b"})),)),
-    lambda: SetSystem(frozenset(), frozenset({"p"}), ()),
+    lambda: SetSystem(blue=frozenset({"b"}), sets=(("s", frozenset({"x", "b"})),)),
+    lambda: SetSystem(frozenset({"p"}), ()),
     lambda: CoverSelection(chosen=("s",), cost=1),
     lambda: SetCoverInstance(("u1", "u2"), (frozenset({"u1", "u2"}),)),
     lambda: GenSeed(1, 3, 2, fp_noise=0.5),
@@ -206,12 +205,8 @@ def test_records_keep_their_defaults_and_checks():
         (lambda: ExactConfig(max_rules=0), "max_rules must be positive"),
         (lambda: GenSeed(1, 0, 1), "need at least one universe element and one set"),
         (lambda: SetCoverInstance(("u",), ()), "union of the sets must equal the universe"),
-        (lambda: SetSystem(frozenset({"x"}), frozenset({"x"}), ()),
-         "red and blue elements overlap"),
-        (lambda: SetSystem(frozenset(), frozenset({"b"}), (("s", frozenset()),) * 2),
+        (lambda: SetSystem(frozenset({"b"}), (("s", frozenset()),) * 2),
          "duplicate set label 's'"),
-        (lambda: SetSystem(frozenset(), frozenset({"b"}), (("s", frozenset({"b", "z"})),)),
-         r"set 's' contains unknown elements \['z'\]"),
         (lambda: eval_rule(unsafe, Instance({"S": 1}, ())), "rule r is unsafe: y unbound"),
         (lambda: parse_rules("rule r: S(x) -> B(x).").rule("nope"), "unknown rule name 'nope'"),
         (lambda: GenSeed(1, 2, 3, fn_noise=-0.5), r"noise knobs must be in \[0, 1\]"),
