@@ -19,8 +19,6 @@ from typing import Hashable, Iterable
 
 from .model import CapacityError
 
-#: Subset masks are int64 values with rule i at bit i.
-MAX_RULES = 62
 #: Most (subset, fact word) pairs one enumeration may visit: 2^24 subsets over
 #: 256 words, about 15-30 s on a 2-vCPU host.  More is refused up front.
 MAX_WORD_VISITS = 2**32
@@ -34,7 +32,8 @@ MAX_UNION_WORDS = 2**25
 def check_enumeration(n: int, n_words: int, table_rows: int) -> None:
     """Refuse, before anything is allocated, an enumeration of the 2^n
     subsets of `n` rows over `n_words` words past `MAX_WORD_VISITS`, or one
-    that holds the unions of 2^`table_rows` subsets past `MAX_UNION_WORDS`."""
+    that holds the unions of 2^`table_rows` subsets past `MAX_UNION_WORDS`.
+    No n past 32 passes, so subset masks fit the kernel's int64 witnesses."""
     visits, held = (1 << n) * n_words, (1 << table_rows) * n_words
     if visits > MAX_WORD_VISITS:
         raise CapacityError(

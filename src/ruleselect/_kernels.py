@@ -18,17 +18,18 @@ Fact sets arrive as the Python ints of `_bitset.PackedUniverse`; `as_words`
 lays them out as rows of uint64 words, fact bit i at bit i % 64 of word
 i // 64, for the kernel.
 
-Inner subset unions are held word-major, one contiguous row per fact word,
-and each outer block is one pass per word: OR the base, XOR the truth J,
-popcount, add, into preallocated buffers.  One popcount suffices because
-fp + fn = |x xor J|; FP mode also ORs up the J bits of x xor J (those x
-misses) and keeps only subsets that miss none.
+One doubling, `_doubled`, builds the unions, one contiguous row per fact word,
+and the sizes of the inner and the outer subsets; the visit limit keeps the
+outer table within 2^16 words.  Each outer block is one pass per word: OR the
+base, XOR the truth J, popcount, add, into preallocated buffers.  One popcount
+suffices as fp + fn = |x xor J|; FP mode also ORs up the J bits of x xor J
+(those x misses) and keeps only subsets missing none.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from ._bitset import MAX_WORD_VISITS, check_enumeration
+from ._bitset import check_enumeration
 
 
 def as_words(masks, n_words: int) -> np.ndarray:
@@ -38,13 +39,15 @@ def as_words(masks, n_words: int) -> np.ndarray:
     return words.astype(np.uint64)
 
 
-def _doubled_unions(rule_masks: np.ndarray, upto: int) -> np.ndarray:
-    """Unions of all subsets of rules [0, upto); row m has bit i of m = rule i."""
-    w = rule_masks.shape[1]
-    unions = np.zeros((1, w), dtype=np.uint64)
-    for i in range(upto):
-        unions = np.concatenate([unions, unions | rule_masks[i]])
-    return unions
+def _doubled(masks: np.ndarray, sizes) -> tuple:
+    """Union and size total of every subset of the rows, subset m holding row i
+    iff bit i of m: unions word-major, (words, 2^rows), and totals (2^rows,)."""
+    unions = np.zeros((masks.shape[1], 1 << len(masks)), dtype=np.uint64)
+    totals = np.zeros(1 << len(masks), dtype=np.int64)
+    for i, (row, size) in enumerate(zip(masks, sizes)):  # subsets [2^i, 2^(i+1)) add row i
+        np.bitwise_or(unions[:, :1 << i], row[:, None], out=unions[:, 1 << i:2 << i])
+        np.add(totals[:1 << i], size, out=totals[1 << i:2 << i])
+    return unions, totals
 
 
 def _size_profile(rule_masks, sizes, j_mask, fp_only):
@@ -56,38 +59,30 @@ def _size_profile(rule_masks, sizes, j_mask, fp_only):
     n, w = rule_masks.shape
     split = min(n, 16)
     check_enumeration(n, w, split)
-    sizes = np.asarray(sizes, dtype=np.int64)
-    inner_sizes = np.zeros(1, dtype=np.int64)
-    for i in range(split):
-        inner_sizes = np.concatenate([inner_sizes, inner_sizes + sizes[i]])
+    inner, inner_sizes = _doubled(rule_masks[:split], sizes[:split])
+    outer, outer_sizes = _doubled(rule_masks[split:], sizes[split:])
     # Inner subsets grouped by size, ascending mask within a group; the least
     # (error << split | inner mask) of a group is its least error at its
     # lowest mask, found for every group by one reduceat per block.
     order = np.argsort(inner_sizes, kind="stable")
-    inner_t = np.ascontiguousarray(_doubled_unions(rule_masks, split)[order].T)  # (w, 2^split)
+    inner = np.take(inner, order, axis=1)  # rebound: at most two tables are held at once
     grouped_sizes = inner_sizes[order]
     starts = np.flatnonzero(np.r_[True, grouped_sizes[1:] != grouped_sizes[:-1]])
     group_sizes = grouped_sizes[starts]
     low = np.int64((1 << split) - 1)
     big = np.int64(64 * w + 1)  # above any |x xor J|
-    max_size = int(sizes.sum())
 
     diff, lost, missing = (np.empty(1 << split, dtype=np.uint64) for _ in range(3))
     count = np.empty(1 << split, dtype=np.uint8)
     errs = np.empty(1 << split, dtype=np.int64)
-    best_err = np.full(max_size + 1, np.int64(-1))
-    witness = np.full(max_size + 1, np.int64(-1))
-    for outer in range(1 << (n - split)):
-        base = np.zeros(w, dtype=np.uint64)
-        base_size = 0
-        for t in range(n - split):
-            if outer >> t & 1:
-                base |= rule_masks[split + t]
-                base_size += int(sizes[split + t])
+    # one entry per size up to that of the subset of every rule
+    best_err = np.full(int(inner_sizes[-1] + outer_sizes[-1]) + 1, np.int64(-1))
+    witness = np.full_like(best_err, -1)
+    for block, (base, base_size) in enumerate(zip(outer.T, outer_sizes)):
         errs.fill(0)
         missing.fill(0)
         for k in range(w):
-            np.bitwise_or(inner_t[k], base[k], out=diff)
+            np.bitwise_or(inner[k], base[k], out=diff)
             np.bitwise_xor(diff, j_mask[k], out=diff)
             if fp_only:
                 np.bitwise_and(diff, j_mask[k], out=lost)
@@ -102,7 +97,7 @@ def _size_profile(rule_masks, sizes, j_mask, fp_only):
         # strict improvement only: an earlier block has the lower mask
         better = (err < big) & ((best_err[s] < 0) | (err < best_err[s]))
         best_err[s[better]] = err[better]
-        witness[s[better]] = (outer << split) | (least[better] & low)
+        witness[s[better]] = (block << split) | (least[better] & low)
     return best_err, witness
 
 
@@ -112,8 +107,7 @@ def solve_exact_masks(rule_masks: np.ndarray, j_mask: np.ndarray,
 
     Both are -1 when no subset qualifies (FP mode, uncoverable truth).
     """
-    no_sizes = np.zeros(rule_masks.shape[0], dtype=np.int64)
-    best_err, witness = _size_profile(rule_masks, no_sizes, j_mask, fp_only)
+    best_err, witness = _size_profile(rule_masks, [0] * len(rule_masks), j_mask, fp_only)
     return int(best_err[0]), int(witness[0])
 
 

@@ -4,12 +4,12 @@ A rule-selection problem maps to one `SetSystem`: one set per rule, truth
 facts blue, and red every derivable fact that is not blue.  As red-blue set
 cover (`build_rbsc`) it is the FP objective, as positive-negative partial set
 cover (`build_pnpsc`) the FP+FN one.  The greedy here and the exact solvers
-read these systems as `pack` packs them into the ints of a
-`_bitset.PackedUniverse`, so every step is unions and popcounts.  The
-positive-negative problem is the red-blue one plus a "skip" set per blue p,
-{p, a fresh red}.  `pnpsc_to_rbsc` builds these sets; the greedy keeps them
-implicit, scans the rule sets only and takes skips in label order between
-scans (`solve_pnpsc_approx` says why that is exact).
+read these systems as `pack` packs them into `_bitset.PackedUniverse` ints, a
+red being any bit outside the blue mask, so every step is unions and
+popcounts.  The positive-negative problem is the red-blue one plus a "skip"
+set per blue p, {p, a fresh red}.  `pnpsc_to_rbsc` builds these sets; the
+greedy keeps them implicit, scans the rule sets only and takes skips in label
+order between scans (`solve_pnpsc_approx` says why that is exact).
 """
 from __future__ import annotations
 
@@ -92,12 +92,11 @@ def build_rbsc(rules: RuleSet, example: DataExample) -> SetSystem:
 
 
 def pack(system: SetSystem) -> tuple:
-    """`(universe, set masks, red mask, blue mask)`: the system packed over one
-    `PackedUniverse` of its elements, set masks in set order, red = not blue."""
+    """`(universe, set masks, blue mask)` over one `PackedUniverse` of blue and
+    the sets' elements, set masks in set order; every other bit is red."""
     rows = [members for _, members in system.sets]
     universe = PackedUniverse(system.blue.union(*rows))
-    blue = universe.pack(system.blue)
-    return universe, universe.pack_rows(rows), ((1 << len(universe.facts)) - 1) & ~blue, blue
+    return universe, universe.pack_rows(rows), universe.pack(system.blue)
 
 
 def _skips(system: SetSystem):
@@ -147,7 +146,7 @@ def _thresholds(red_counts):
     return sorted({counts[bisect_right(counts, t) - 1] for t in taus if t >= counts[0]})
 
 
-def _greedy_pass(sets, red, blue, skips):
+def _greedy_pass(sets, blue, skips):
     """One weighted-greedy run over (label, mask) sets and implicit skip sets
     that together cover blue; returns the labels taken and their red count.
 
@@ -170,7 +169,7 @@ def _greedy_pass(sets, red, blue, skips):
             if nb == 0:
                 continue  # covered only grows: this set never adds blue again
             still.append((label, mask))
-            nr = (fresh & red).bit_count()
+            nr = fresh.bit_count() - nb
             # (nr/nb, -nb, label) below best's, with the ratios cross-multiplied
             if best is None or (nr * best[1], -nb, label) < (best[0] * nb, -best[1], best[2]):
                 best = (nr, nb, label, mask)
@@ -188,16 +187,16 @@ def _greedy_pass(sets, red, blue, skips):
         if skipped == before:
             chosen.append(best[2])
             covered |= best[3]
-    return chosen, (covered & red).bit_count() + skipped
+    return chosen, (covered & ~blue).bit_count() + skipped
 
 
-def _sweep(labels, masks, red, blue, skips):
-    """Per threshold, restrict to sets with at most that many reds, cover blue
-    greedily, and keep the best (reds, set count, sorted labels) key, or None
-    if no threshold admits a cover.  Skips have one red: from threshold 1 on
-    they are eligible and every blue is within reach.
+def _sweep(labels, masks, blue, skips):
+    """Per threshold, take the sets of at most that many reds (non-blue bits),
+    cover blue greedily, and keep the best (reds, set count, sorted labels)
+    key, or None if no threshold admits a cover.  Skips have one red: from
+    threshold 1 on they are eligible and every blue is within reach.
     """
-    red_counts = [(mask & red).bit_count() for mask in masks]
+    red_counts = [(mask & ~blue).bit_count() for mask in masks]
     best = None
     for tau in _thresholds(red_counts + ([1] if skips else [])):
         eligible = [(label, mask) for label, mask, rc in zip(labels, masks, red_counts)
@@ -209,7 +208,7 @@ def _sweep(labels, masks, red, blue, skips):
                 reach |= mask
             if blue & ~reach:
                 continue
-        chosen, cost = _greedy_pass(eligible, red, blue, live)
+        chosen, cost = _greedy_pass(eligible, blue, live)
         key = (cost, len(chosen), tuple(sorted(chosen)))
         if best is None or key < best:
             best = key
@@ -223,8 +222,8 @@ def solve_rbsc_greedy(system: SetSystem) -> CoverSelection:
     lexicographic label list.  Fully deterministic and invariant under
     permutations of the set list.
     """
-    _, masks, red, blue = pack(system)
-    best = _sweep([label for label, _ in system.sets], masks, red, blue, ())
+    _, masks, blue = pack(system)
+    best = _sweep([label for label, _ in system.sets], masks, blue, ())
     if best is None:  # the last threshold admits every set
         missing = min(system.blue.difference(*(members for _, members in system.sets)),
                       key=str)
@@ -246,9 +245,9 @@ def solve_pnpsc_approx(system: SetSystem) -> CoverSelection:
     rescan follows it.
     """
     labels = [label for label, _ in system.sets]
-    universe, masks, red, blue = pack(system)
+    universe, masks, blue = pack(system)
     skips = [(label, 1 << universe.index[p]) for label, p in _skips(system)]
-    _, _, chosen = _sweep(labels, masks, red, blue, skips)
+    _, _, chosen = _sweep(labels, masks, blue, skips)
     original = set(labels)
     chosen = tuple(label for label in chosen if label in original)
     return CoverSelection(chosen=chosen, cost=system.cost(chosen))

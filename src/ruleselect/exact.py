@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ._bitset import MAX_RULES, subset_profile
+from ._bitset import subset_profile
 from .covering import build_pnpsc, build_rbsc, pack
 from .model import (
     CapacityError,
@@ -67,8 +67,6 @@ def _check_cap(n: int, config: ExactConfig, what: str = "rules"):
     if n > config.max_rules:
         raise CapacityError(
             f"{n} {what} exceed the enumeration cap of {config.max_rules}")
-    if n > MAX_RULES:
-        raise CapacityError(f"{n} {what} exceed the {MAX_RULES}-rule limit of subset masks")
 
 
 def _forced(rows: list, j: int) -> set:
@@ -95,7 +93,7 @@ def _prepare(rules: RuleSet, example: DataExample, config: ExactConfig):
     else:  # the cap counts every rule: refuse before evaluating
         _check_cap(len(rules), config)
         system = build_pnpsc(rules, example)
-    universe, rows, _, j = pack(system)
+    universe, rows, j = pack(system)
     forced = set()
     if fp:
         forced = _forced(rows, j)

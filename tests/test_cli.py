@@ -216,21 +216,24 @@ def test_exit_code_capacity(capsys, f1_files):
 
 
 def test_exit_code_capacity_beyond_subset_masks(capsys, tmp_path):
-    # 70 rules under --max-rules 100: past the 62 rules a subset mask holds
+    # 70 rules under --max-rules 100: 2^70 subsets pass the visit limit, which
+    # refuses every enumeration past 32 rules, so subset masks fit in int64
     run(capsys, ["gen", "random", "--seed", "5", "--universe", "20", "--sets", "70",
                  "--out", str(tmp_path)])
     files = ["--rules", str(tmp_path / "rules.rules"),
              "--premise", str(tmp_path / "premise.facts"),
              "--truth", str(tmp_path / "truth.facts")]
-    for command in (["select", "--objective", "fpfn", "--method", "exact"], ["pareto"]):
+    for command in (["select", "--objective", "fpfn", "--method", "exact"], ["pareto"],
+                    ["select", "--objective", "fp", "--method", "exact"]):
         code, _, err = run(capsys, command + ["--max-rules", "100"] + files)
         assert code == 3 and err["error"]["code"] == "capacity_exceeded", err
+        assert "word visits" in err["error"]["message"], err
 
 
 @pytest.mark.parametrize("n_rules, cap", [(40, "40"), (60, "70")])
 def test_exit_code_capacity_past_the_work_limit(capsys, tmp_path, n_rules, cap):
-    # Under the rule cap and the 62-rule mask limit, but 2^n subsets are too
-    # many to enumerate: refused at once instead of running for hours.
+    # Under the rule cap, but 2^n subsets are too many to enumerate: refused
+    # at once instead of running for hours.
     run(capsys, ["gen", "random", "--seed", "5", "--universe", "40",
                  "--sets", str(n_rules), "--out", str(tmp_path)])
     files = ["--rules", str(tmp_path / "rules.rules"),

@@ -10,6 +10,7 @@ from ruleselect import (
     ValidationError,
     build_pnpsc,
     build_rbsc,
+    check_fp_feasible,
     compute_errors,
     evaluated,
     fact,
@@ -21,7 +22,14 @@ from ruleselect import (
 )
 from ruleselect._bitset import PackedUniverse
 from ruleselect.covering import pack
-from ruleselect.generators import GenSeed, gen_random_ruleselect
+from ruleselect.generators import (
+    GenSeed,
+    gen_random_ruleselect,
+    gen_random_setcover,
+    rules_from_set_cover,
+    rules_from_set_cover_clones,
+    rules_from_set_cover_indexed,
+)
 
 from oracles import (
     brute_force_pnpsc_min,
@@ -76,9 +84,10 @@ def test_red_is_every_set_element_that_is_not_blue():
     assert inst.red == {"x", "y"}
     assert inst.cost(["s"]) == 2 and inst.cost(["s", "t"]) == 3
     assert SetSystem(blue=frozenset({"b"}), sets=()).red == frozenset()
-    universe, masks, red, blue = pack(inst)
+    universe, masks, blue = pack(inst)
     assert set(universe.facts) == {"b", "lone", "x", "y"}
-    assert red == universe.pack({"x", "y"}) and blue == universe.pack({"b", "lone"})
+    assert blue == universe.pack({"b", "lone"})
+    assert universe.pack(inst.red) == universe.pack({"x", "y"}) == 0b1111 & ~blue
     assert masks == [universe.pack(members) for _, members in inst.sets]
 
 
@@ -91,8 +100,9 @@ def test_derived_red_matches_the_spurious_derivable_facts(seed):
     inst = build_pnpsc(rules, example)
     truth = example.truth.facts
     assert inst.red == evaluated(rules, example.premise).union - truth
-    universe, _, red, blue = pack(inst)
-    assert red == universe.pack(inst.red) and blue == universe.pack(truth)
+    universe, _, blue = pack(inst)
+    assert blue == universe.pack(truth)
+    assert universe.pack(inst.red) == ((1 << len(universe.facts)) - 1) & ~blue
 
 
 def test_build_rbsc_infeasible_raises(f1):
@@ -341,6 +351,41 @@ def test_greedy_matches_reference_greedy(seed):
             solve_rbsc_greedy(SetSystem(blue=blue, sets=sets))
     cover = solve_pnpsc_approx(SetSystem(blue=blue, sets=sets))
     assert (cover.chosen, cover.cost) == reference_pnpsc_approx(blue, red, sets)
+
+
+def _check_greedy_on_rules(rules, example):
+    """Both greedy solvers against the reference greedy, which takes the
+    explicit red; the red-blue one only where every truth fact is derivable.
+    Returns whether it ran."""
+    system = build_pnpsc(rules, example)
+    cover = solve_pnpsc_approx(system)
+    assert (cover.chosen, cover.cost) == reference_pnpsc_approx(system.blue, system.red,
+                                                                system.sets)
+    if check_fp_feasible(rules, example):
+        return False
+    system = build_rbsc(rules, example)
+    cover = solve_rbsc_greedy(system)
+    assert (cover.chosen, cover.cost) == reference_rbsc_greedy(system.red, system.blue,
+                                                               system.sets)
+    return True
+
+
+@given(st.integers(min_value=0, max_value=10**6), st.sampled_from([0.0, 0.2]))
+@settings(max_examples=40)
+def test_greedy_matches_reference_greedy_on_rule_systems(seed, fn_noise):
+    # Fact elements from evaluated rules, where the other reference tests
+    # draw strings.
+    _check_greedy_on_rules(*gen_random_ruleselect(
+        GenSeed(seed=seed, n_universe=12, n_sets=8, density=0.4,
+                fp_noise=0.4, fn_noise=fn_noise, join_rules=2)))
+
+
+@pytest.mark.parametrize("encode", [rules_from_set_cover, rules_from_set_cover_indexed,
+                                    rules_from_set_cover_clones])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_greedy_matches_reference_greedy_on_set_cover_encodings(encode, seed):
+    sc = gen_random_setcover(GenSeed(seed=seed, n_universe=8, n_sets=5))
+    assert _check_greedy_on_rules(*encode(sc))  # every encoding is FP-feasible
 
 
 def test_pnpsc_approx_rescans_after_a_rule_between_skips():

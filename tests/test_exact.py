@@ -23,7 +23,7 @@ from ruleselect import (
     solve_exact,
 )
 from ruleselect import _kernels, exact
-from ruleselect._bitset import MAX_UNION_WORDS, PackedUniverse, subset_profile
+from ruleselect._bitset import MAX_UNION_WORDS, MAX_WORD_VISITS, PackedUniverse, subset_profile
 from ruleselect.generators import GenSeed, gen_random_ruleselect
 
 from oracles import (
@@ -302,6 +302,25 @@ def test_kernels_beyond_numpy_chunk_threshold():
     assert _kernels.solve_exact_masks(masks[:4], uncoverable, fp_only=True) == (-1, -1)
 
 
+def test_kernels_with_several_outer_rules():
+    # 19 rules: three outer rules past the 16-rule inner block, so the outer
+    # table's unions and sizes take every combination of them.  The rule at
+    # bit 17 adds nothing but size; those at bits 16 and 18 hold truth facts
+    # that no inner rule has, so FP mode needs both.
+    import random
+
+    rng = random.Random(1919)
+    bits = 90
+    inner = [rng.getrandbits(bits) & rng.getrandbits(bits) & ~(0b111 << 80)
+             for _ in range(16)]
+    int_masks = inner + [1 << 80 | rng.getrandbits(bits) & rng.getrandbits(bits), 0,
+                         0b110 << 80 | rng.getrandbits(40)]
+    int_sizes = [rng.randint(1, 4) for _ in int_masks]
+    subsets = _subset_unions(int_masks, int_sizes)
+    for j_int in (rng.getrandbits(bits) & ~(0b111 << 80) | 0b101 << 80, 0b111 << 80):
+        _check_kernels(int_masks, int_sizes, subsets, j_int, n_words=2)
+
+
 def test_kernels_across_fact_words():
     # 18 rules over 200 facts (4 words, the last one partial), so a slip in
     # the kernel's per-word loop shows; checked against a direct integer sweep.
@@ -334,9 +353,9 @@ def test_kernels_across_fact_words():
 
 def test_kernels_refuse_work_past_the_limit():
     # 2^33 subsets of one word each is past the limit, refused before any
-    # allocation, and so is any input past the 62 rules a subset mask holds;
-    # the default 24-rule cap over 256 words stays within it.
-    assert (1 << 24) * 256 <= _kernels.MAX_WORD_VISITS
+    # allocation, and so is every larger input, so subset masks never pass 32
+    # bits; the default 24-rule cap over 256 words stays within it.
+    assert (1 << 24) * 256 <= MAX_WORD_VISITS
     for n in (33, 63):
         masks = np.ones((n, 1), dtype=np.uint64)
         with pytest.raises(CapacityError, match="word visits"):
@@ -351,7 +370,7 @@ def test_enumerations_refuse_union_tables_past_the_memory_limit():
     # past MAX_UNION_WORDS is refused before anything is allocated, well
     # within the visit limit; the default 24-rule cap over 256 words fits.
     words = MAX_UNION_WORDS // 2**16 + 1
-    assert 2**16 * words <= _kernels.MAX_WORD_VISITS
+    assert 2**16 * words <= MAX_WORD_VISITS
     assert 2**16 * 256 <= MAX_UNION_WORDS
     with pytest.raises(CapacityError, match=f"{2**16:,} subset unions over {words} fact words"):
         subset_profile([0] * 16, [0] * 16, 0, words, False)
