@@ -179,17 +179,12 @@ def _cmd_select(args) -> dict:
     from . import covering
 
     if args.objective == "fp":
-        system = covering.build_rbsc(rules, example)
-        cover, skips = covering.solve_rbsc_greedy(system), 0
-    else:  # the bound is on the explicit reduction: one skip set per truth fact
-        system = covering.build_pnpsc(rules, example)
-        cover, skips = covering.solve_pnpsc_approx(system), len(system.blue)
-    bound = covering.greedy_bound(len(system.sets) + skips, len(system.blue))
-    selection = frozenset(cover.chosen)
-    body, total = _selection_report(rules, example, selection)
-    err = body["fp_count"] if args.objective == "fp" else total
+        cover = covering.solve_rbsc_greedy(covering.build_rbsc(rules, example))
+    else:
+        cover = covering.solve_pnpsc_approx(covering.build_pnpsc(rules, example))
+    body, _ = _selection_report(rules, example, frozenset(cover.chosen))
     return {"command": "select", "objective": args.objective, "method": "greedy",
-            **body, "error": err, "bound_value": round(bound, 4)}
+            **body, "error": cover.cost, "bound_value": round(cover.bound, 4)}
 
 
 def _cmd_pareto(args) -> dict:
@@ -204,7 +199,7 @@ def _cmd_bilevel(args) -> dict:
     result = _exact().bilevel_optimum(rules, example, _exact_config(args))
     body, _ = _selection_report(rules, example, result.witness)
     return {"command": "bilevel", "objective": args.objective, **body,
-            "error": result.error, "size": result.size, "optimal": True}
+            "error": result.error, "optimal": True}
 
 
 def _cmd_member(args) -> dict:

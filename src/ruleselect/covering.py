@@ -60,13 +60,13 @@ class SetSystem(Record):
 
 
 class CoverSelection(Record):
-    """A solver result; every reported quantity is recomputable from `chosen`."""
+    """A greedy answer: the chosen labels, sorted, their `cost` on the system
+    solved, and the `greedy_bound` of the red-blue system the greedy ran on."""
 
-    __slots__ = ("chosen", "cost")
+    __slots__ = ("chosen", "cost", "bound")
 
-    def __init__(self, chosen: tuple, cost: int):
-        # chosen: labels, sorted
-        self._init(chosen, cost)
+    def __init__(self, chosen: tuple, cost: int, bound: float):
+        self._init(chosen, cost, bound)
 
 
 def build_pnpsc(rules: RuleSet, example: DataExample) -> SetSystem:
@@ -216,7 +216,7 @@ def _sweep(labels, masks, blue, skips):
 
 
 def solve_rbsc_greedy(system: SetSystem) -> CoverSelection:
-    """Threshold-sweep greedy for red-blue set cover.
+    """Threshold-sweep greedy for red-blue set cover, bound `greedy_bound(sets, blue)`.
 
     Candidates compare by fewest covered reds, then fewest sets, then
     lexicographic label list.  Fully deterministic and invariant under
@@ -229,12 +229,14 @@ def solve_rbsc_greedy(system: SetSystem) -> CoverSelection:
                       key=str)
         raise CoverageError(f"blue element {missing!r} is in no set")
     cost, _, chosen = best
-    return CoverSelection(chosen=chosen, cost=cost)
+    return CoverSelection(chosen=chosen, cost=cost,
+                          bound=greedy_bound(len(system.sets), len(system.blue)))
 
 
 def solve_pnpsc_approx(system: SetSystem) -> CoverSelection:
     """The red-blue greedy on `pnpsc_to_rbsc(system)` with the skip sets kept
-    implicit; skip labels are dropped and the rest recosted by `cost`.
+    implicit; skip labels are dropped and the rest recosted by `cost`.  The
+    bound is the explicit reduction's, one skip set per blue counted.
 
     It takes the same steps as on the explicit sets.  While p is uncovered,
     skip set {p, marker} has key (ratio 1, one new blue, label), since its
@@ -250,7 +252,8 @@ def solve_pnpsc_approx(system: SetSystem) -> CoverSelection:
     _, _, chosen = _sweep(labels, masks, blue, skips)
     original = set(labels)
     chosen = tuple(label for label in chosen if label in original)
-    return CoverSelection(chosen=chosen, cost=system.cost(chosen))
+    return CoverSelection(chosen=chosen, cost=system.cost(chosen),
+                          bound=greedy_bound(len(labels) + len(skips), len(system.blue)))
 
 
 def greedy_bound(n_sets: int, n_blue: int) -> float:

@@ -32,11 +32,9 @@ from .covering import build_pnpsc, build_rbsc, pack
 from .model import (
     CapacityError,
     DataExample,
-    InfeasibleError,
     ParetoPoint,
     Record,
     RuleSet,
-    Selection,
     ValidationError,
     rule_size,
 )
@@ -79,33 +77,6 @@ def _forced(rows: list, j: int) -> set:
     return {i for i, row in enumerate(rows) if row & sole}
 
 
-def _prepare(rules: RuleSet, example: DataExample, config: ExactConfig):
-    """Enumeration input, and what to add back to each of its answers.
-
-    Returns `(rows, j, free, forced, extra_error, n_words)`: packed ints of
-    the `free` rules' outputs and of the truth, over facts outside the forced
-    rules' outputs.  Every answer also selects the `forced` rules, whose false
-    positives `extra_error` counts.  Only FP mode forces rules.
-    """
-    fp = config.objective == "fp"
-    if fp:  # infeasibility is reported ahead of the cap on the free rules
-        system = build_rbsc(rules, example)
-    else:  # the cap counts every rule: refuse before evaluating
-        _check_cap(len(rules), config)
-        system = build_pnpsc(rules, example)
-    universe, rows, j = pack(system)
-    forced = set()
-    if fp:
-        forced = _forced(rows, j)
-        _check_cap(len(rows) - len(forced), config, f"free rules (of {len(rules)})")
-    free = [i for i in range(len(rows)) if i not in forced]
-    u_f = 0
-    for i in forced:
-        u_f |= rows[i]
-    return ([rows[i] & ~u_f for i in free], j & ~u_f, [rules.rules[i] for i in free],
-            [rules.rules[i] for i in forced], (u_f & ~j).bit_count(), universe.n_words)
-
-
 def _profile(rows: list, j: int, n_words: int, fp_only: bool, sizes=None) -> tuple:
     """Per-size least error and lowest witness mask (lists, -1 = none); with
     no sizes, one entry: the least error over all subsets.
@@ -131,21 +102,50 @@ def _profile(rows: list, j: int, n_words: int, fp_only: bool, sizes=None) -> tup
     return best_err.tolist(), witness.tolist()
 
 
-def _selection(free: list, forced: list, mask: int) -> Selection:
-    """The forced rules plus the free rules at the set bits of a kernel mask."""
-    return frozenset([r.name for r in forced]
-                     + [r.name for i, r in enumerate(free) if mask >> i & 1])
+def _points(rules: RuleSet, example: DataExample, config: ExactConfig,
+            by_size: bool) -> list:
+    """Per selection size, by ascending size, the least error and its
+    canonical witness as a `ParetoPoint`; with `by_size` false, one point,
+    the optimum.
+
+    Builds and packs the set system, fixes the forced rules in FP mode and
+    enumerates the free ones through `_profile`.  Each point also selects the
+    forced rules, counts their false positives and has its witness's size.
+    """
+    fp = config.objective == "fp"
+    if fp:  # infeasibility is reported ahead of the cap on the free rules
+        system = build_rbsc(rules, example)
+    else:  # the cap counts every rule: refuse before evaluating
+        _check_cap(len(rules), config)
+        system = build_pnpsc(rules, example)
+    universe, rows, j = pack(system)
+    forced = set()
+    if fp:
+        forced = _forced(rows, j)
+        _check_cap(len(rows) - len(forced), config, f"free rules (of {len(rules)})")
+    u_f = 0
+    for i in forced:
+        u_f |= rows[i]
+    free = [i for i in range(len(rows)) if i not in forced]
+    sizes = [rule_size(r) for r in rules.rules]
+    errors, masks = _profile([rows[i] & ~u_f for i in free], j & ~u_f, universe.n_words, fp,
+                             [sizes[i] for i in free] if by_size else None)
+    extra = (u_f & ~j).bit_count()
+    points = []
+    for error, mask in zip(errors, masks):
+        if mask < 0:
+            continue
+        chosen = [*forced] + [i for k, i in enumerate(free) if mask >> k & 1]
+        points.append(ParetoPoint(error=error + extra, size=sum(sizes[i] for i in chosen),
+                                  witness=frozenset(rules.rules[i].name for i in chosen)))
+    return points
 
 
 def solve_exact(rules: RuleSet, example: DataExample,
                 config: Optional[ExactConfig] = None) -> tuple:
     """Optimum error and its canonical witness selection."""
-    config = config or ExactConfig()
-    rows, j, free, forced, extra, n_words = _prepare(rules, example, config)
-    (err,), (mask,) = _profile(rows, j, n_words, fp_only=config.objective == "fp")
-    if mask < 0:
-        raise InfeasibleError(frozenset())  # unreachable given the precondition
-    return err + extra, _selection(free, forced, mask)
+    (point,) = _points(rules, example, config or ExactConfig(), by_size=False)
+    return point.error, point.witness
 
 
 def pareto_front(rules: RuleSet, example: DataExample,
@@ -156,23 +156,11 @@ def pareto_front(rules: RuleSet, example: DataExample,
     Size is the sum of premise-atom counts over the chosen rules.  In "fp"
     mode only zero-FN selections compete.
     """
-    config = config or ExactConfig()
-    rows, j, free, forced, extra, n_words = _prepare(rules, example, config)
-    best_err, witness = _profile(rows, j, n_words, fp_only=config.objective == "fp",
-                                 sizes=[rule_size(r) for r in free])
-    forced_size = sum(rule_size(r) for r in forced)
-    points = []
-    best_so_far = None
-    for s, e in enumerate(best_err):  # ascending size; keep strict error improvements
-        if e < 0:
-            continue
-        if best_so_far is None or e < best_so_far:
-            best_so_far = e
-            points.append(ParetoPoint(
-                error=e + extra, size=s + forced_size,
-                witness=_selection(free, forced, witness[s])))
-    points.sort(key=lambda p: p.error)
-    return tuple(points)
+    front = []
+    for point in _points(rules, example, config or ExactConfig(), by_size=True):
+        if not front or point.error < front[-1].error:  # ascending size: strict improvements
+            front.append(point)
+    return tuple(reversed(front))
 
 
 def pareto_membership(rules: RuleSet, example: DataExample, error: int, size: int,

@@ -272,6 +272,26 @@ def test_exit_code_capacity_past_the_join_limit(capsys, tmp_path, rule, n_facts,
     assert peak < 64 * 2**20
 
 
+def test_fpfn_checks_the_cap_before_evaluation_and_the_work_limits_after(capsys, tmp_path):
+    # 40 rules, one a cross product over 1,000 facts.  Under the cap, the
+    # visit limit would refuse 2^40 subsets, but it needs the fact-word count,
+    # so evaluation runs first and refuses the join.
+    rules = [f"rule p{i}: P(a) -> Q(a).\n" for i in range(39)]
+    (tmp_path / "rules.rules").write_text("".join(rules) + "rule x: P(a), P(b) -> R(a, b).\n")
+    (tmp_path / "premise.facts").write_text("".join(f"P({i})\n" for i in range(1, 1001)))
+    (tmp_path / "truth.facts").write_text("")
+    files = ["--rules", str(tmp_path / "rules.rules"),
+             "--premise", str(tmp_path / "premise.facts"),
+             "--truth", str(tmp_path / "truth.facts")]
+    code, _, err = run(capsys, ["pareto", "--objective", "fpfn", "--max-rules", "39"] + files)
+    assert code == 3
+    assert err["error"]["message"] == "40 rules exceed the enumeration cap of 39"
+    code, _, err = run(capsys, ["pareto", "--objective", "fpfn", "--max-rules", "100"] + files)
+    assert code == 3
+    assert err["error"]["message"] == (
+        "rule x: joining P makes 1,000,000 matches, above the limit of 524,288")
+
+
 @pytest.mark.parametrize("n_forced", [26, 70])
 def test_fp_cap_counts_free_rules(capsys, tmp_path, n_forced):
     # Each rule f<i> alone derives its truth fact, so FP mode fixes it, and

@@ -1,3 +1,9 @@
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,12 +20,16 @@ from ruleselect import (
     compute_errors,
     evaluated,
     fact,
+    greedy_bound,
     parse_facts,
     parse_rules,
     pnpsc_to_rbsc,
     solve_pnpsc_approx,
     solve_rbsc_greedy,
+    write_facts,
+    write_rules,
 )
+from ruleselect import cli
 from ruleselect._bitset import PackedUniverse
 from ruleselect.covering import pack
 from ruleselect.generators import (
@@ -386,6 +396,56 @@ def test_greedy_matches_reference_greedy_on_rule_systems(seed, fn_noise):
 def test_greedy_matches_reference_greedy_on_set_cover_encodings(encode, seed):
     sc = gen_random_setcover(GenSeed(seed=seed, n_universe=8, n_sets=5))
     assert _check_greedy_on_rules(*encode(sc))  # every encoding is FP-feasible
+
+
+def _check_cost_and_bound(rules, example):
+    """Each greedy's cost is its objective on the selection and its bound the
+    `greedy_bound` of the red-blue system it solves, the FPFN one with a skip
+    set per truth fact; greedy `select` reports both, or exits 2 where FP
+    mode is infeasible."""
+    with tempfile.TemporaryDirectory() as tmp:
+        files = []
+        for option, name, text in (("--rules", "rules.rules", write_rules(rules)),
+                                   ("--premise", "premise.facts", write_facts(example.premise)),
+                                   ("--truth", "truth.facts", write_facts(example.truth))):
+            Path(tmp, name).write_text(text, encoding="utf-8")
+            files += [option, str(Path(tmp, name))]
+        for objective in ("fp", "fpfn"):
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main(["select", "--method", "greedy", "--objective", objective]
+                                + files)
+            if objective == "fp" and check_fp_feasible(rules, example):
+                assert code == 2
+                continue
+            if objective == "fp":
+                system = build_rbsc(rules, example)
+                cover, n_sets = solve_rbsc_greedy(system), len(system.sets)
+            else:
+                system = build_pnpsc(rules, example)
+                cover, n_sets = solve_pnpsc_approx(system), len(system.sets) + len(system.blue)
+            errors = compute_errors(rules, frozenset(cover.chosen), example)
+            assert cover.cost == (errors.fp_count if objective == "fp" else errors.total)
+            assert cover.bound == greedy_bound(n_sets, len(system.blue))
+            out = json.loads(stdout.getvalue())
+            assert code == 0 and out["selected_rules"] == list(cover.chosen)
+            assert (out["error"], out["bound_value"]) == (cover.cost, round(cover.bound, 4))
+
+
+@given(st.integers(min_value=0, max_value=10**6), st.sampled_from([0.0, 0.2]))
+@settings(max_examples=40)
+def test_greedy_reports_its_cost_and_bound(seed, fn_noise):
+    _check_cost_and_bound(*gen_random_ruleselect(
+        GenSeed(seed=seed, n_universe=12, n_sets=8, density=0.4,
+                fp_noise=0.4, fn_noise=fn_noise, join_rules=2)))
+
+
+@pytest.mark.parametrize("encode", [rules_from_set_cover, rules_from_set_cover_indexed,
+                                    rules_from_set_cover_clones])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_greedy_reports_its_cost_and_bound_on_set_cover_encodings(encode, seed):
+    _check_cost_and_bound(*encode(gen_random_setcover(GenSeed(seed=seed, n_universe=8,
+                                                              n_sets=5))))
 
 
 def test_pnpsc_approx_rescans_after_a_rule_between_skips():

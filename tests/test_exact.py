@@ -24,6 +24,7 @@ from ruleselect import (
 )
 from ruleselect import _kernels, exact
 from ruleselect._bitset import MAX_UNION_WORDS, MAX_WORD_VISITS, PackedUniverse, subset_profile
+from ruleselect.covering import pack
 from ruleselect.generators import GenSeed, gen_random_ruleselect
 
 from oracles import (
@@ -484,7 +485,8 @@ def test_fp_forced_rules_match_unreduced_kernel_and_brute_force(drawn):
         assert "r0" in forced
     elif kind != "corpus":
         assert forced == {"none": set(), "shared": set(), "all": set(rules.names())}[kind]
-    assert {r.name for r in exact._prepare(rules, example, FP)[3]} == forced
+    _, rows, j = pack(build_rbsc(rules, example))
+    assert {rules.rules[i].name for i in exact._forced(rows, j)} == forced
     sizes = {r.name: rule_size(r) for r in rules.rules}
     optimum, front = _unreduced(rules, example, sizes)
     assert solve_exact(rules, example, FP) == optimum

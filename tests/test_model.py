@@ -164,7 +164,7 @@ _RECORDS = [
     lambda: ExactConfig(5, objective="fp"),
     lambda: SetSystem(blue=frozenset({"b"}), sets=(("s", frozenset({"x", "b"})),)),
     lambda: SetSystem(frozenset({"p"}), ()),
-    lambda: CoverSelection(chosen=("s",), cost=1),
+    lambda: CoverSelection(chosen=("s",), cost=1, bound=2.0),
     lambda: SetCoverInstance(("u1", "u2"), (frozenset({"u1", "u2"}),)),
     lambda: GenSeed(1, 3, 2, fp_noise=0.5),
 ]
