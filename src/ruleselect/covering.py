@@ -35,15 +35,15 @@ class SetSystem(Record):
     element that is not blue: cover every blue covering few reds (red-blue),
     or minimize `cost` (positive-negative: blue is positive and red negative)."""
 
-    __slots__ = ("blue", "sets")
+    _fields = ("blue", "sets")
 
-    def __init__(self, blue: frozenset, sets: tuple):
+    def __new__(cls, blue: frozenset, sets: tuple):
         labels = set()
         for label, _ in sets:
             if label in labels:
                 raise ValidationError(f"duplicate set label {label!r}")
             labels.add(label)
-        self._init(blue, sets)
+        return tuple.__new__(cls, (blue, sets))
 
     @property
     def red(self) -> frozenset:
@@ -63,10 +63,10 @@ class CoverSelection(Record):
     """A greedy answer: the chosen labels, sorted, their `cost` on the system
     solved, and the `greedy_bound` of the red-blue system the greedy ran on."""
 
-    __slots__ = ("chosen", "cost", "bound")
+    _fields = ("chosen", "cost", "bound")
 
-    def __init__(self, chosen: tuple, cost: int, bound: float):
-        self._init(chosen, cost, bound)
+    def __new__(cls, chosen: tuple, cost: int, bound: float):
+        return tuple.__new__(cls, (chosen, cost, bound))
 
 
 def build_pnpsc(rules: RuleSet, example: DataExample) -> SetSystem:

@@ -233,11 +233,9 @@ class EvalCache:
     def __init__(self, rules: RuleSet, premise: Instance):
         interned: dict = {}  # the rules share each conclusion fact they derive
         self.per_rule = {r.name: eval_rule(r, premise, interned) for r in rules.rules}
-        self.union = frozenset().union(*self.per_rule.values()) if self.per_rule else frozenset()
+        self.union = frozenset().union(*self.per_rule.values())
 
     def eval_selection(self, selection: Selection) -> frozenset:
-        if not selection:
-            return frozenset()
         return frozenset().union(*(self.per_rule[name] for name in selection))
 
 

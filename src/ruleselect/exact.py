@@ -51,14 +51,14 @@ PURE_PYTHON_RULES = 16
 
 
 class ExactConfig(Record):
-    __slots__ = ("max_rules", "objective")
+    _fields = ("max_rules", "objective")
 
-    def __init__(self, max_rules: int = 24, objective: str = "fpfn"):
+    def __new__(cls, max_rules: int = 24, objective: str = "fpfn"):
         if objective not in OBJECTIVES:
             raise ValidationError(f"objective must be one of {OBJECTIVES}")
         if max_rules < 1:
             raise ValidationError("max_rules must be positive")
-        self._init(max_rules, objective)
+        return tuple.__new__(cls, (max_rules, objective))
 
 
 def _check_cap(n: int, config: ExactConfig, what: str = "rules"):

@@ -31,9 +31,9 @@ _CLONE_RE = re.compile(r"b\d+\^\d+\Z")
 class SetCoverInstance(Record):
     """A universe and a list of covering sets whose union is the universe."""
 
-    __slots__ = ("universe", "sets")
+    _fields = ("universe", "sets")
 
-    def __init__(self, universe: tuple, sets: tuple):
+    def __new__(cls, universe: tuple, sets: tuple):
         # sets: frozensets of universe ids
         if len(set(universe)) != len(universe):
             raise ValidationError("universe ids must be unique")
@@ -44,17 +44,17 @@ class SetCoverInstance(Record):
             union |= s
         if union != set(universe):
             raise ValidationError("union of the sets must equal the universe")
-        self._init(universe, sets)
+        return tuple.__new__(cls, (universe, sets))
 
 
 class GenSeed(Record):
     """Seed plus size knobs; identical seeds and knobs give identical output."""
 
-    __slots__ = ("seed", "n_universe", "n_sets", "density", "fp_noise", "fn_noise",
-                 "join_rules")
+    _fields = ("seed", "n_universe", "n_sets", "density", "fp_noise", "fn_noise",
+               "join_rules")
 
-    def __init__(self, seed: int, n_universe: int, n_sets: int, density: float = 0.3,
-                 fp_noise: float = 0.0, fn_noise: float = 0.0, join_rules: int = 0):
+    def __new__(cls, seed: int, n_universe: int, n_sets: int, density: float = 0.3,
+                fp_noise: float = 0.0, fn_noise: float = 0.0, join_rules: int = 0):
         if n_universe < 1 or n_sets < 1:
             raise ValidationError("need at least one universe element and one set")
         if not 0.0 < density <= 1.0:
@@ -63,7 +63,8 @@ class GenSeed(Record):
             raise ValidationError("noise knobs must be in [0, 1]")
         if not 0 <= join_rules <= n_sets:
             raise ValidationError("join_rules must be between 0 and n_sets")
-        self._init(seed, n_universe, n_sets, density, fp_noise, fn_noise, join_rules)
+        return tuple.__new__(cls, (seed, n_universe, n_sets, density, fp_noise, fn_noise,
+                                   join_rules))
 
 
 def _check_namespace(sc: SetCoverInstance, clones: bool):
@@ -93,8 +94,7 @@ def _marker_encoding(sc: SetCoverInstance, clones: bool):
     truth_facts = [fact("B", u) for u in sc.universe]
     truth_facts += [fact("B", f"b{pos[u]}^{c}") for u in sc.universe for c in copies]
     truth = Instance({"B": 1}, truth_facts)
-    return RuleSet.infer(rules) if rules else RuleSet((), {}, {"B": 1}), \
-        DataExample(premise=premise, truth=truth)
+    return RuleSet(rules, premise.schema, {"B": 1}), DataExample(premise=premise, truth=truth)
 
 
 def rules_from_set_cover(sc: SetCoverInstance):

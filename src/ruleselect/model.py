@@ -34,24 +34,25 @@ class CoverageError(RuntimeError):
     """A blue element of a red-blue instance is not contained in any set."""
 
 
-class Record:
+class Record(tuple):
     """Base of the immutable value records here and in `exact`, `covering` and
     `generators`.
 
-    A record's fields are its `__slots__`, which its `__init__` sets once,
-    in slot order, through `_init`.  Records of one class compare and hash
-    by their field values, and assigning or deleting a field raises
-    `AttributeError`.
+    A record is the tuple of its field values, in the order its class lists
+    them in `_fields`; each field reads as a property.  Hashing and equality
+    are the tuple's, so a record equals the plain tuple of its fields, and
+    assigning or deleting an attribute raises `AttributeError`.  Each
+    record's `__new__` checks its fields and returns `tuple.__new__(cls,
+    fields)`; pickling and copying call it again with the field values.
     """
 
     __slots__ = ()
+    _fields: tuple = ()
 
-    def _init(self, *values):
-        for name, value in zip(self.__slots__, values):
-            _set_field(self, name, value)
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        for i, name in enumerate(cls._fields):
+            setattr(cls, name, property(itemgetter(i)))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -59,23 +60,13 @@ class Record:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __reduce__(self):
-        return self.__class__, self._values()
+    def __getnewargs__(self):
+        return tuple(self)
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self))
         return f"{self.__class__.__name__}({fields})"
 
-
-_set_field = object.__setattr__
 
 #: Builtin predicate names reserved by the rule language.  Semantics live in
 #: the evaluation module; the model and parser only need the registry keys.
@@ -117,15 +108,15 @@ def literal(v) -> str:
     return str(v)
 
 
-class Fact(tuple):
+class Fact(Record):
     """One tuple of a named relation; facts have set semantics inside an Instance.
 
-    A fact is the tuple `(relation, args)`: hashing, equality and
-    immutability are the tuple's, so a fact equals the plain tuple of its
-    two fields.
+    A fact is the record `(relation, args)`.  It keeps `__slots__ = ()`, so
+    it has no `__dict__` and is no larger than the plain tuple.
     """
 
     __slots__ = ()
+    _fields = ("relation", "args")
 
     def __new__(cls, relation: str, args: tuple):
         if not relation:
@@ -135,15 +126,6 @@ class Fact(tuple):
         for a in args:
             check_constant(a)
         return tuple.__new__(cls, (relation, args))
-
-    relation = property(itemgetter(0))
-    args = property(itemgetter(1))
-
-    def __getnewargs__(self):
-        return tuple(self)
-
-    def __repr__(self):
-        return f"Fact(relation={self.relation!r}, args={self.args!r})"
 
     def sort_key(self):
         # Numbers before texts; numbers numerically, texts by code point.
@@ -273,15 +255,15 @@ class Instance:
 class Term(Record):
     """A variable or a constant in an atom.  Exactly one of var/const is set."""
 
-    __slots__ = ("var", "const")
+    _fields = ("var", "const")
 
-    def __init__(self, var: Optional[str] = None,
-                 const: Union[str, int, Decimal, None] = None):
+    def __new__(cls, var: Optional[str] = None,
+                const: Union[str, int, Decimal, None] = None):
         if (var is None) == (const is None):
             raise ValidationError("term must be exactly one of variable or constant")
         if const is not None:
             check_constant(const)
-        self._init(var, const)
+        return tuple.__new__(cls, (var, const))
 
     @property
     def is_var(self) -> bool:
@@ -297,12 +279,12 @@ def const(v) -> Term:
 
 
 class RelationalAtom(Record):
-    __slots__ = ("relation", "terms")
+    _fields = ("relation", "terms")
 
-    def __init__(self, relation: str, terms: tuple):
+    def __new__(cls, relation: str, terms: tuple):
         if not terms:
             raise ValidationError(f"atom {relation}() needs at least one term")
-        self._init(relation, terms)
+        return tuple.__new__(cls, (relation, terms))
 
     def variables(self) -> Iterator[str]:
         for t in self.terms:
@@ -311,16 +293,16 @@ class RelationalAtom(Record):
 
 
 class BuiltinAtom(Record):
-    __slots__ = ("name", "terms", "threshold")
+    _fields = ("name", "terms", "threshold")
 
-    def __init__(self, name: str, terms: tuple, threshold: Optional[Decimal] = None):
+    def __new__(cls, name: str, terms: tuple, threshold: Optional[Decimal] = None):
         if name not in BUILTIN_NAMES:
             raise ValidationError(f"unknown builtin {name!r}")
         if len(terms) != BUILTIN_TERMS:
             raise ValidationError(f"builtin {name} takes {BUILTIN_TERMS} terms")
         if (name == "jaccard_geq") != (threshold is not None):
             raise ValidationError(f"builtin {name}: bad threshold usage")
-        self._init(name, terms, threshold)
+        return tuple.__new__(cls, (name, terms, threshold))
 
     variables = RelationalAtom.variables
 
@@ -336,14 +318,14 @@ class Rule(Record):
     that invalid rules can be represented and reported on.
     """
 
-    __slots__ = ("name", "premise", "head")
+    _fields = ("name", "premise", "head")
 
-    def __init__(self, name: str, premise: tuple, head: RelationalAtom):
+    def __new__(cls, name: str, premise: tuple, head: RelationalAtom):
         if not name:
             raise ValidationError("rule needs a name")
         if not premise:
             raise ValidationError(f"rule {name}: premise must be non-empty")
-        self._init(name, premise, head)
+        return tuple.__new__(cls, (name, premise, head))
 
     def relational_atoms(self) -> list:
         return [a for a in self.premise if isinstance(a, RelationalAtom)]
@@ -427,10 +409,10 @@ class RuleSet:
 class DataExample(Record):
     """A premise instance paired with a ground-truth conclusion instance."""
 
-    __slots__ = ("premise", "truth")
+    _fields = ("premise", "truth")
 
-    def __init__(self, premise: Instance, truth: Instance):
-        self._init(premise, truth)
+    def __new__(cls, premise: Instance, truth: Instance):
+        return tuple.__new__(cls, (premise, truth))
 
 
 #: A selection is the set of chosen rule names.
@@ -449,10 +431,10 @@ def check_selection(rules: RuleSet, selection: Iterable[str]) -> Selection:
 class ErrorReport(Record):
     """False positives and false negatives of a selection against a data example."""
 
-    __slots__ = ("fp", "fn")
+    _fields = ("fp", "fn")
 
-    def __init__(self, fp: frozenset, fn: frozenset):
-        self._init(fp, fn)
+    def __new__(cls, fp: frozenset, fn: frozenset):
+        return tuple.__new__(cls, (fp, fn))
 
     @property
     def fp_count(self) -> int:
@@ -470,21 +452,21 @@ class ErrorReport(Record):
 class EvalLimits(Record):
     """Bounds that keep evaluation polynomial: atoms per premise, conclusion arity."""
 
-    __slots__ = ("max_premise_atoms", "max_conclusion_arity")
+    _fields = ("max_premise_atoms", "max_conclusion_arity")
 
-    def __init__(self, max_premise_atoms: int, max_conclusion_arity: int):
+    def __new__(cls, max_premise_atoms: int, max_conclusion_arity: int):
         if max_premise_atoms < 1 or max_conclusion_arity < 1:
             raise ValidationError("evaluation limits must be positive")
-        self._init(max_premise_atoms, max_conclusion_arity)
+        return tuple.__new__(cls, (max_premise_atoms, max_conclusion_arity))
 
 
 class ParetoPoint(Record):
     """An (error, size) pair, optionally with a selection realizing it."""
 
-    __slots__ = ("error", "size", "witness")
+    _fields = ("error", "size", "witness")
 
-    def __init__(self, error: int, size: int, witness: Optional[Selection] = None):
-        self._init(error, size, witness)
+    def __new__(cls, error: int, size: int, witness: Optional[Selection] = None):
+        return tuple.__new__(cls, (error, size, witness))
 
 
 def display_var(name: str) -> str:

@@ -167,6 +167,7 @@ _RECORDS = [
     lambda: CoverSelection(chosen=("s",), cost=1, bound=2.0),
     lambda: SetCoverInstance(("u1", "u2"), (frozenset({"u1", "u2"}),)),
     lambda: GenSeed(1, 3, 2, fp_noise=0.5),
+    lambda: fact("B", 1),
 ]
 
 
@@ -175,14 +176,22 @@ def test_records_are_immutable_values(make):
     record, again = make(), make()
     assert record == again and hash(record) == hash(again) and record is not again
     assert record != "other" and record.__class__.__name__ in repr(record)
-    name = record.__slots__[0]
-    with pytest.raises(AttributeError):
-        setattr(record, name, None)
+    values = tuple(getattr(record, field) for field in record._fields)
+    assert tuple(record) == values and record == values
+    name = record._fields[0]
+    for field in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
     with pytest.raises(AttributeError):
         delattr(record, name)
     with pytest.raises(AttributeError):
         record.other = None
     assert pickle.loads(pickle.dumps(record)) == record == copy.copy(record)
+    # An Instance has slots and no __getstate__, so it pickles from protocol 2 on.
+    first = 2 if isinstance(record, DataExample) else 0
+    for protocol in range(first, pickle.HIGHEST_PROTOCOL + 1):
+        loaded = pickle.loads(pickle.dumps(record, protocol))
+        assert loaded.__class__ is record.__class__ and loaded == record
 
 
 def test_records_keep_their_defaults_and_checks():
