@@ -33,11 +33,10 @@ _EXPORTS = {
         "rules_from_set_cover_clones", "rules_from_set_cover_indexed",
     ),
     "model": (
-        "BuiltinAtom", "CapacityError", "CoverageError", "DataExample",
-        "ErrorReport", "EvalLimits", "EvaluationError", "Fact",
-        "InfeasibleError", "Instance", "ParetoPoint", "RelationalAtom",
-        "Rule", "RuleSet", "Term", "ValidationError", "const", "fact",
-        "rule_size", "ruleset_size", "validate", "var",
+        "BuiltinAtom", "CapacityError", "DataExample", "ErrorReport",
+        "EvalLimits", "Fact", "InfeasibleError", "Instance", "ParetoPoint",
+        "RelationalAtom", "Rule", "RuleSet", "Term", "ValidationError",
+        "const", "fact", "rule_size", "ruleset_size", "validate", "var",
     ),
     "parser": (
         "ParseError", "parse_facts", "parse_rules", "write_facts",

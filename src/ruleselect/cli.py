@@ -1,8 +1,8 @@
 """Command-line interface: evaluate, select, pareto, bilevel, member, gen, check-feasible.
 
-Reports are JSON on stdout with a fixed key order; every failure is a single
-JSON error object on stderr with a machine-readable code.  Exit codes:
-0 success, 1 usage/parse error, 2 FP-mode infeasibility, 3 capacity exceeded.
+Reports are JSON on stdout with a fixed key order, exit status 0; every failure
+is a single JSON error object on stderr, whose code and exit status `_FAILURES`
+gives: 2 FP-mode infeasibility, 3 capacity exceeded, 1 any other failure.
 """
 from __future__ import annotations
 
@@ -12,12 +12,10 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import Optional
 
 from .evaluation import check_fp_feasible, compute_errors
 from .model import (
     CapacityError,
-    CoverageError,
     DataExample,
     EvalLimits,
     InfeasibleError,
@@ -268,68 +266,56 @@ def _ordered(report: dict) -> dict:
     return out
 
 
-def _emit(report: dict, pretty: bool, stream):
+def _emit(report: dict, pretty: bool):
     if pretty:
         for key, value in report.items():
             if key == "pareto_points":
-                print("pareto_points:", file=stream)
-                print("  error  size", file=stream)
+                print("pareto_points:")
+                print("  error  size")
                 for e, s in value:
-                    print(f"  {e:5d}  {s:4d}", file=stream)
+                    print(f"  {e:5d}  {s:4d}")
             else:
-                print(f"{key}: {json.dumps(value)}", file=stream)
+                print(f"{key}: {json.dumps(value)}")
     else:
-        print(json.dumps(report), file=stream)
+        print(json.dumps(report))
 
 
-def _error(code: str, message: str, detail: Optional[dict] = None):
-    body = {"error": {"code": code, "message": message}}
-    if detail:
-        body["error"].update(detail)
-    print(json.dumps(body), file=sys.stderr)
+def _error(code: str, message: str, **detail):
+    print(json.dumps({"error": {"code": code, "message": message, **detail}}), file=sys.stderr)
+
+
+# (failure class, error code, exit status): a failure takes the first row it
+# is an instance of; any other is an internal_error with exit status 1.
+_FAILURES = (
+    (UsageError, "usage", EXIT_USAGE),
+    (ParseError, "parse_error", EXIT_USAGE),
+    (InfeasibleError, "fp_infeasible", EXIT_INFEASIBLE),
+    (CapacityError, "capacity_exceeded", EXIT_CAPACITY),
+    (ValidationError, "validation_error", EXIT_USAGE),
+    (OSError, "io_error", EXIT_USAGE),
+    (ImportError, "usage", EXIT_USAGE),  # numpy, past the pure-Python enumeration
+)
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as e:
-        _error("usage", str(e))
-        return EXIT_USAGE
-    if args.command is None:
-        _error("usage", "missing subcommand")
-        return EXIT_USAGE
-    start = time.perf_counter()
-    try:
+        args = _build_parser().parse_args(argv)
+        if args.command is None:
+            raise UsageError("missing subcommand")
+        start = time.perf_counter()
         report = _COMMANDS[args.command](args)
-    except UsageError as e:
-        _error("usage", str(e))
-        return EXIT_USAGE
-    except ParseError as e:
-        _error("parse_error", str(e))
-        return EXIT_USAGE
-    except InfeasibleError as e:
-        _error("fp_infeasible", str(e),
-               {"missing": sorted(map(str, e.missing))})
-        return EXIT_INFEASIBLE
-    except CapacityError as e:
-        _error("capacity_exceeded", str(e))
-        return EXIT_CAPACITY
-    except (ValidationError, CoverageError) as e:
-        _error("validation_error", str(e))
-        return EXIT_USAGE
-    except OSError as e:
-        _error("io_error", str(e))
-        return EXIT_USAGE
-    except ImportError as e:  # numpy, past the pure-Python enumeration
-        _error("usage", str(e))
-        return EXIT_USAGE
+        report["runtime_ms"] = int((time.perf_counter() - start) * 1000)
+        report = _ordered(report)
     except Exception as e:  # contract: failures are always a JSON object on stderr
+        for kind, code, status in _FAILURES:
+            if isinstance(e, kind):
+                detail = {"missing": sorted(map(str, e.missing))} if kind is InfeasibleError else {}
+                _error(code, str(e), **detail)
+                return status
         _error("internal_error", f"{type(e).__name__}: {e}")
         return EXIT_USAGE
-    report["runtime_ms"] = int((time.perf_counter() - start) * 1000)
     try:
-        _emit(_ordered(report), getattr(args, "pretty", False), sys.stdout)
+        _emit(report, args.pretty)
         sys.stdout.flush()
     except OSError as e:  # stdout closed, say by the reader of a pipe
         # Point stdout at devnull, so the flush at exit prints nothing more.

@@ -21,7 +21,6 @@ from typing import Iterable
 from ._bitset import PackedUniverse
 from .evaluation import check_fp_feasible, evaluated
 from .model import (
-    CoverageError,
     DataExample,
     InfeasibleError,
     Record,
@@ -220,14 +219,13 @@ def solve_rbsc_greedy(system: SetSystem) -> CoverSelection:
 
     Candidates compare by fewest covered reds, then fewest sets, then
     lexicographic label list.  Fully deterministic and invariant under
-    permutations of the set list.
+    permutations of the set list.  `InfeasibleError` names the blue elements
+    that no set holds.
     """
     _, masks, blue = pack(system)
     best = _sweep([label for label, _ in system.sets], masks, blue, ())
     if best is None:  # the last threshold admits every set
-        missing = min(system.blue.difference(*(members for _, members in system.sets)),
-                      key=str)
-        raise CoverageError(f"blue element {missing!r} is in no set")
+        raise InfeasibleError(system.blue.difference(*(members for _, members in system.sets)))
     cost, _, chosen = best
     return CoverSelection(chosen=chosen, cost=cost,
                           bound=greedy_bound(len(system.sets), len(system.blue)))

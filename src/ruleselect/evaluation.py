@@ -19,7 +19,6 @@ from .model import (
     CapacityError,
     DataExample,
     ErrorReport,
-    EvaluationError,
     Instance,
     RelationalAtom,
     Rule,
@@ -122,10 +121,10 @@ def eval_rule(rule: Rule, premise: Instance, interned: Optional[dict] = None) ->
     for atom in rule.relational_atoms():
         arity = premise.schema.get(atom.relation)
         if arity is None:
-            raise EvaluationError(
+            raise ValidationError(
                 f"rule {rule.name} references unknown relation {atom.relation}")
         if arity != len(atom.terms):
-            raise EvaluationError(
+            raise ValidationError(
                 f"rule {rule.name}: {atom.relation} has arity {arity}, "
                 f"atom uses {len(atom.terms)}")
 

@@ -11,27 +11,25 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 
 
 class ValidationError(ValueError):
-    """A domain object violates its invariants (unsafe rule, bad schema, unknown name)."""
-
-
-class EvaluationError(ValueError):
-    """A rule references a relation the premise instance does not provide."""
+    """A domain object violates its invariants (unsafe rule, bad schema, unknown
+    name), or a rule does not fit the premise it is evaluated on."""
 
 
 class CapacityError(RuntimeError):
-    """An exhaustive solver was asked to enumerate more rules than its configured cap."""
+    """Work past a fixed limit, refused before it is done: an enumeration of
+    more rules than `exact.ExactConfig.max_rules` or past the visit or union
+    limits of `_bitset.check_enumeration`, or a join step past
+    `evaluation.MAX_JOIN_MATCHES`."""
 
 
 class InfeasibleError(RuntimeError):
-    """FP-mode requires the full rule set to cover the truth instance; it does not."""
+    """No cover exists: truth facts (`missing`) that no rule derives, so FP
+    mode has no feasible selection, or, read as red-blue set cover, blue
+    elements that no set holds."""
 
     def __init__(self, missing: frozenset):
         self.missing = missing
         super().__init__(f"{len(missing)} truth fact(s) not derivable by any rule")
-
-
-class CoverageError(RuntimeError):
-    """A blue element of a red-blue instance is not contained in any set."""
 
 
 class Record(tuple):
@@ -247,6 +245,10 @@ class Instance:
 
     def __hash__(self):
         return hash((frozenset(self.schema.items()), self.facts))
+
+    def __reduce__(self):
+        # Pickled at every protocol as its schema and rows; the memo is rebuilt on use.
+        return Instance.from_rows, (self.schema, self._derived[None])
 
     def __repr__(self):
         return f"Instance({len(self.schema)} relations, {len(self)} facts)"

@@ -9,6 +9,14 @@ from pathlib import Path
 import pytest
 
 import ruleselect
+from ruleselect import (
+    CapacityError,
+    InfeasibleError,
+    ParseError,
+    ValidationError,
+    cli,
+    fact,
+)
 from ruleselect.cli import main
 
 from conftest import F1_PREMISE, F1_RULES, F1_TRUTH
@@ -169,6 +177,36 @@ def test_exit_code_infeasible(capsys, f1_files, tmp_path):
     assert code == 2
     assert err["error"]["code"] == "fp_infeasible"
     assert err["error"]["missing"] == ['B("zz")']
+
+
+@pytest.mark.parametrize("failure, status, code", [
+    (cli.UsageError("bad option"), 1, "usage"),
+    (ParseError("expected ')'", "r.rules", 2, 7, "S(x"), 1, "parse_error"),
+    (InfeasibleError(frozenset({fact("B", 1), fact("B", "u2")})), 2, "fp_infeasible"),
+    (CapacityError("too many rules"), 3, "capacity_exceeded"),
+    (ValidationError("unknown rule name 'r9'"), 1, "validation_error"),
+    (OSError("cannot read"), 1, "io_error"),
+    (ImportError("needs numpy"), 1, "usage"),
+    (KeyError("oops"), 1, "internal_error"),
+])
+def test_each_failure_has_one_code_and_exit_status(capsys, f1_files, monkeypatch,
+                                                   failure, status, code):
+    def fail(args):
+        raise failure
+
+    monkeypatch.setitem(cli._COMMANDS, "eval", fail)
+    expected = {"code": code, "message": str(failure)}
+    if code == "internal_error":
+        expected["message"] = "KeyError: 'oops'"
+    if code == "fp_infeasible":  # sorted as text: the quote sorts before the digit
+        expected["missing"] = ['B("u2")', "B(1)"]
+    assert run(capsys, ["eval"] + f1_files) == (status, None, {"error": expected})
+
+
+def test_a_report_with_an_unknown_key_is_an_internal_error(capsys, f1_files, monkeypatch):
+    monkeypatch.setitem(cli._COMMANDS, "eval", lambda args: {"command": "eval", "bogus": 1})
+    assert run(capsys, ["eval"] + f1_files) == (1, None, {"error": {
+        "code": "internal_error", "message": "RuntimeError: unordered report keys: {'bogus'}"}})
 
 
 def test_greedy_and_exact_agree_on_numerically_equal_constants(capsys, tmp_path):

@@ -5,12 +5,12 @@ from hypothesis import given, strategies as st
 
 from ruleselect import (
     DataExample,
-    EvaluationError,
     Instance,
     RelationalAtom,
     Rule,
     RuleSet,
     Term,
+    ValidationError,
     build_pnpsc,
     build_rbsc,
     check_fp_feasible,
@@ -68,7 +68,7 @@ def test_eval_rule_empty_premise(f1):
 
 def test_eval_rule_unknown_relation(f1):
     rules, _ = f1
-    with pytest.raises(EvaluationError):
+    with pytest.raises(ValidationError):
         eval_rule(rules.rule("r1"), Instance({"Other": 1}, ()))
 
 

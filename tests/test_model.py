@@ -12,7 +12,6 @@ from ruleselect import (
     DataExample,
     ErrorReport,
     EvalLimits,
-    EvaluationError,
     ExactConfig,
     Fact,
     Instance,
@@ -25,6 +24,7 @@ from ruleselect import (
     ValidationError,
     const,
     eval_rule,
+    evaluated,
     fact,
     parse_facts,
     parse_rules,
@@ -149,6 +149,19 @@ def test_instance_keeps_its_facts_and_counts_its_rows():
         Instance({"B": 0}, ())
 
 
+def test_an_instance_pickles_without_its_memo():
+    rules = parse_rules("rule r1: S(x) -> B(x).\nrule r2: S(x), T(x, y) -> B(y).")
+    text = 'S(1)\nS("a")\nT(1, 2)\nT("a", 2.5)\nT(1, "b")\n'
+    used = parse_facts(text, schema=rules.premise_schema)
+    per_rule = evaluated(rules, used).per_rule
+    assert used.lookup("T", (0,)) and used.facts  # the memo holds all three kinds
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        fresh = parse_facts(text, schema=rules.premise_schema)
+        assert pickle.dumps(used, protocol) == pickle.dumps(fresh, protocol)
+        loaded = pickle.loads(pickle.dumps(used, protocol))
+        assert loaded == used and evaluated(rules, loaded).per_rule == per_rule
+
+
 _RECORDS = [
     lambda: Term(var="x"),
     lambda: Term(None, 5),
@@ -187,9 +200,7 @@ def test_records_are_immutable_values(make):
     with pytest.raises(AttributeError):
         record.other = None
     assert pickle.loads(pickle.dumps(record)) == record == copy.copy(record)
-    # An Instance has slots and no __getstate__, so it pickles from protocol 2 on.
-    first = 2 if isinstance(record, DataExample) else 0
-    for protocol in range(first, pickle.HIGHEST_PROTOCOL + 1):
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         loaded = pickle.loads(pickle.dumps(record, protocol))
         assert loaded.__class__ is record.__class__ and loaded == record
 
@@ -227,7 +238,7 @@ def test_records_keep_their_defaults_and_checks():
     for make, message in checks:
         with pytest.raises(ValidationError, match=f"^{message}"):
             make()
-    with pytest.raises(EvaluationError, match="^rule r: S has arity 2, atom uses 1$"):
+    with pytest.raises(ValidationError, match="^rule r: S has arity 2, atom uses 1$"):
         eval_rule(parse_rules("rule r: S(x) -> B(x).").rules[0], Instance({"S": 2}, ()))
 
 
